@@ -147,16 +147,10 @@ def _load(args) -> Dataset:
     return data
 
 
-def _solver_config(args, base: SolverConfig | None = None) -> SolverConfig | None:
-    if args.tol is None and args.max_iter is None:
-        return base
-    base = base or SolverConfig()
-    return SolverConfig(
-        tol=args.tol if args.tol is not None else base.tol,
-        max_iter=args.max_iter if args.max_iter is not None else base.max_iter,
-        phi0=base.phi0,
-        gamma_u=base.gamma_u,
-    )
+def _solver_config(args) -> SolverConfig | None:
+    given = {"tol": args.tol, "max_iter": args.max_iter}
+    given = {k: v for k, v in given.items() if v is not None}
+    return SolverConfig(**given) if given else None
 
 
 def _coef_records(data: Dataset, beta) -> list:

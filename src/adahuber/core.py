@@ -131,25 +131,38 @@ def _maybe_scalar(out, like):
     return out
 
 
-def _hloss(r, tau):
-    # overflow-safe form: quadratic on min(|r|, tau), linear on the excess
-    a = np.abs(r)
-    m = np.minimum(a, tau)
-    return 0.5 * m * m + tau * (a - m)
+# Unvalidated kernels behind every loss, score and shrinkage: the score is the
+# clamp of r to [-tau, tau], the loss psi * (r - psi/2) (finite if tau*|r| is).
+def _score(r, tau):
+    return np.minimum(np.maximum(r, -tau), tau)
+
+
+def _hloss_score(r, tau):
+    psi = _score(r, tau)
+    return psi * (r - 0.5 * psi), psi
+
+
+def _mean(v) -> float:
+    # np.mean's arithmetic without its Python-level dispatch
+    return float(np.add.reduce(v)) / v.shape[0]
+
+
+def _soft_threshold(v, kappa):
+    return v - _score(v, kappa)
 
 
 def huber_loss(x, tau):
     """Huber loss: x^2/2 for |x| <= tau, tau*|x| - tau^2/2 beyond."""
     tau = _check_tau(tau)
     a = _as_float_array(x, "x")
-    return _maybe_scalar(_hloss(a, tau), x)
+    return _maybe_scalar(_hloss_score(a, tau)[0], x)
 
 
 def huber_score(x, tau):
     """Derivative of the Huber loss: sign(x) * min(|x|, tau)."""
     tau = _check_tau(tau)
     a = _as_float_array(x, "x")
-    return _maybe_scalar(np.sign(a) * np.minimum(np.abs(a), tau), x)
+    return _maybe_scalar(_score(a, tau), x)
 
 
 def irls_weight(r, tau):
@@ -172,7 +185,7 @@ def residuals(beta, data: Dataset) -> np.ndarray:
 def empirical_loss(beta, data: Dataset, tau) -> float:
     """Average Huber loss of the residuals (no penalty term)."""
     tau = _check_tau(tau)
-    return float(np.mean(_hloss(residuals(beta, data), tau)))
+    return _mean(_hloss_score(residuals(beta, data), tau)[0])
 
 
 def objective(beta, data: Dataset, params: HuberParams) -> float:
@@ -187,9 +200,7 @@ def objective(beta, data: Dataset, params: HuberParams) -> float:
 def gradient(beta, data: Dataset, tau) -> np.ndarray:
     """Gradient of the empirical loss: -mean of psi_tau(residual) * x_i."""
     tau = _check_tau(tau)
-    r = residuals(beta, data)
-    psi = np.sign(r) * np.minimum(np.abs(r), tau)
-    return -(data.design.T @ psi) / data.n
+    return -(data.design.T @ _score(residuals(beta, data), tau)) / data.n
 
 
 def soft_threshold(v, kappa):
@@ -197,9 +208,7 @@ def soft_threshold(v, kappa):
     kappa = float(kappa)
     if not np.isfinite(kappa) or kappa < 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa!r}")
-    a = _as_float_array(v, "v")
-    # the trailing +0.0 normalizes -0.0 entries produced by sign()
-    return _maybe_scalar(np.sign(a) * np.maximum(np.abs(a) - kappa, 0.0) + 0.0, v)
+    return _maybe_scalar(_soft_threshold(_as_float_array(v, "v"), kappa), v)
 
 
 def truncate_matrix(x, varpi):

@@ -7,7 +7,6 @@ reloads to exactly the same float64 values.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -151,9 +150,3 @@ def write_report(report, out_path: str, fmt: str = "csv") -> None:
     with open(str(out_path) + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def format_records(records, columns, fmt: str = "csv") -> str:
-    buf = io.StringIO()
-    write_records(records, columns, buf, fmt=fmt)
-    return buf.getvalue()

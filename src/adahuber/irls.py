@@ -27,7 +27,8 @@ class SolverConfig:
     tol       stopping threshold on the coefficient change ||b_new - b_old||_2
     max_iter  outer-iteration cap; exceeding it is a soft failure
     phi0      initial isotropic quadratic parameter (majorization solver only)
-    gamma_u   inflation factor applied when the quadratic surrogate fails
+    gamma_u   phi's inflation factor while the surrogate fails, and its warm-down
+              per step (fit_l1_huber: momentum, safeguard, restart, floor stop)
     """
 
     tol: float = 1e-4
@@ -63,6 +64,8 @@ class FitResult:
     grad_norm   l2 norm of the smooth-loss gradient at ``beta``
     trajectory  objective value per iteration, when recorded
     max_inner   largest inner-majorization retry count (LAMM only)
+    stop_reason "converged", "max_iter" or "no_descent" (LAMM at the float floor)
+    matvecs, inner_total   design products and surrogate trials (LAMM only)
     """
 
     beta: np.ndarray
@@ -72,6 +75,9 @@ class FitResult:
     grad_norm: float
     trajectory: tuple | None = None
     max_inner: int | None = None
+    stop_reason: str | None = None
+    matvecs: int | None = None
+    inner_total: int | None = None
 
 
 def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -99,6 +105,7 @@ def fit_ols(data: Dataset) -> FitResult:
         converged=True,
         objective=0.5 * float(np.mean(resid**2)),
         grad_norm=float(np.linalg.norm(grad)),
+        stop_reason="converged",
     )
 
 
@@ -148,4 +155,5 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
         objective=traj[-1],
         grad_norm=grad_norm,
         trajectory=tuple(traj),
+        stop_reason="converged" if converged else "max_iter",
     )

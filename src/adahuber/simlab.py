@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .core import Dataset, DegenerateSampleError, HuberParams
+from .core import Dataset, DegenerateSampleError, HuberParams, _score
 from .irls import SolverConfig, fit_huber, fit_ols
 from .lamm import fit_l1_huber
 from .tuning import (
@@ -484,7 +484,7 @@ def check_bias_decay(
     for tau in tau_grid:
         fit = fit_huber(data, tau, cfg)
         resid = data.y - data.design @ fit.beta
-        psi = np.sign(resid) * np.minimum(np.abs(resid), tau)
+        psi = _score(resid, tau)
         active = float(np.mean(np.abs(resid) <= tau))
         gram = data.design.T @ data.design / data.n
         cov = (
@@ -526,7 +526,7 @@ def check_truncated_moments(
     eps = noise.sample(rng, n_mc)
     root_n = math.sqrt(n_mc)
 
-    psi = np.sign(eps) * np.minimum(np.abs(eps), tau)
+    psi = _score(eps, tau)
     mean_psi = float(np.mean(psi))
     se_psi = float(np.std(psi)) / root_n
     psi2 = psi**2

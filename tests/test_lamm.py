@@ -7,6 +7,7 @@ from adahuber.core import (
     Dataset,
     HuberParams,
     NumericalFailureError,
+    empirical_loss,
     gradient,
     objective,
     soft_threshold,
@@ -233,3 +234,72 @@ def test_objective_value_reported(rng):
     params = HuberParams(tau=1.0, lam=0.3)
     fit = fit_l1_huber(data, params)
     assert fit.objective == pytest.approx(objective(fit.beta, data, params), rel=1e-12)
+
+
+# ------------------------------------------- acceleration, safeguard, counters
+
+def test_small_lambda_high_dim_converges_monotone():
+    # n=300, d=500, Student-t(1.5) noise, tau=1 at lambda_max * 1e-3: plain
+    # proximal-gradient speed runs out the default 5,000-iteration cap here
+    rng = np.random.default_rng(301)
+    n, d = 300, 500
+    x = rng.standard_normal((n, d))
+    beta = np.zeros(d)
+    beta[:5] = [3.0, -2.0, 1.5, -1.0, 2.5]
+    data = Dataset(x, x @ beta + rng.standard_t(1.5, n))
+    lam = float(np.max(np.abs(gradient(np.zeros(d), data, 1.0)))) * 1e-3
+    fit = fit_l1_huber(data, HuberParams(tau=1.0, lam=lam))
+    assert fit.converged and fit.stop_reason == "converged"
+    assert kkt_satisfied(fit.beta, data, 1.0, lam, tol=1e-4)
+    assert np.all(np.diff(fit.trajectory) <= 0)
+    assert fit.trajectory[-1] == fit.objective
+
+
+def test_float_floor_stops_early(rng):
+    data, _ = random_instance(rng, 60, 8, noise="normal")
+    lam_max = float(np.max(np.abs(gradient(np.zeros(8), data, 1.0))))
+    fit = fit_l1_huber(data, HuberParams(tau=1.0, lam=0.2 * lam_max),
+                       SolverConfig(tol=1e-8, max_iter=50_000))
+    assert fit.stop_reason == "no_descent"
+    assert fit.iterations < 1000
+    assert np.all(np.diff(fit.trajectory) <= 0)
+    # stopped at the floor, not short of it: stationary at the default level
+    assert kkt_satisfied(fit.beta, data, 1.0, 0.2 * lam_max, tol=1e-4)
+
+
+@pytest.mark.parametrize("intercept", [False, True])
+def test_first_iteration_is_public_step(rng, intercept):
+    x = rng.standard_normal((40, 6))
+    data = Dataset(x, x[:, 0] * 2.0 + rng.standard_t(2.0, 40) + 3.0, intercept)
+    cfg = SolverConfig(max_iter=1, phi0=1e-3)
+    tau, lam, zero = 1.0, 0.05, np.zeros(data.p)
+    phi = cfg.phi0
+    while not majorization_holds(lamm_step(zero, data, tau, lam, phi), zero,
+                                 data, tau, phi):
+        phi *= cfg.gamma_u
+    expected = lamm_step(zero, data, tau, lam, phi)
+    fit = fit_l1_huber(data, HuberParams(tau=tau, lam=lam), cfg)
+    assert fit.beta.tobytes() == expected.tobytes()  # bit for bit
+    assert fit.iterations == 1 and fit.stop_reason == "max_iter"
+    assert fit.inner_total == fit.max_inner > 1
+
+
+def test_counters_account_for_the_work(rng):
+    data, _ = random_instance(rng, 50, 12)
+    fit = fit_l1_huber(data, HuberParams(tau=1.0, lam=0.05))
+    assert fit.converged and fit.stop_reason == "converged"
+    assert fit.iterations <= fit.inner_total <= fit.iterations * fit.max_inner
+    # one product per surrogate trial, one per iteration for the gradient at
+    # the extrapolated point, one per stationarity check of the current point
+    assert fit.inner_total + fit.iterations < fit.matvecs
+    assert fit.matvecs <= fit.inner_total + 2 * fit.iterations + 1
+    irls = fit_huber(data, 1.0)
+    assert irls.stop_reason == "converged" and irls.matvecs is None
+
+
+def test_objective_matches_public_loss_bitwise(rng):
+    data, _ = random_instance(rng, 70, 9)
+    params = HuberParams(tau=0.8, lam=0.1)
+    fit = fit_l1_huber(data, params)
+    loss = empirical_loss(fit.beta, data, params.tau)
+    assert fit.objective == loss + params.lam * float(np.sum(np.abs(fit.beta)))
