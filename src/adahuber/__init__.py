@@ -46,6 +46,8 @@ from .simlab import (
     gen_linear_data,
     kurtosis,
     mae,
+    run_lepski_study,
+    run_moment_checks,
     run_neff_experiment,
     run_phase_transition,
     run_table1,
@@ -92,6 +94,8 @@ __all__ = [
     "run_table1",
     "run_phase_transition",
     "run_neff_experiment",
+    "run_moment_checks",
+    "run_lepski_study",
     "check_bias_decay",
     "check_truncated_moments",
     "kurtosis",

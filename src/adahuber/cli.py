@@ -7,7 +7,8 @@ Exit codes: 0 = success/converged, 2 = solver did not converge, 1 = error.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
+import inspect
 import math
 import sys
 
@@ -22,6 +23,8 @@ from .simlab import (
     kurtosis,
     mae,
     resolve_threads,
+    run_lepski_study,
+    run_moment_checks,
     run_neff_experiment,
     run_phase_transition,
     run_table1,
@@ -57,6 +60,29 @@ def _floats(text: str):
 
 def _ints(text: str):
     return tuple(int(v) for v in text.split(",") if v.strip())
+
+
+# experiment -> (simlab runner, the flags it takes, output columns); table1's
+# runner returns an ExperimentReport, which carries its own columns
+_EXPERIMENTS = {
+    "table1": (run_table1, ("reps", "n", "d"), None),
+    "phase": (run_phase_transition, ("df_grid", "n", "d", "reps", "high_dim"),
+              ("df", "delta", "n", "d", "mean_neg_log_error", "mean_l2_error",
+               "std_l2_error", "failed")),
+    "neff": (run_neff_experiment, ("d_grid", "n_grid", "reps"),
+             ("d", "n", "n_eff", "mean_l2_error", "std_l2_error", "failed")),
+    "moments": (run_moment_checks, ("n",),
+                ("tau", "bias_l2", "stderr_l2", "converged", "kappa", "n_mc",
+                 "mean_psi", "se_psi", "mean_psi_sq", "se_psi_sq", "sigma_sq",
+                 "se_sigma_sq", "abs_moment_2k", "se_abs_moment_2k",
+                 "first_moment_bound", "first_moment_ok", "second_lower_bound",
+                 "second_lower_ok", "second_upper_ok")),
+    "lepski": (run_lepski_study, ("n", "d", "reps"),
+               ("noise", "replication", "selected_index", "selected_error",
+                "best_fixed_error", "fallback")),
+}
+_EXPERIMENT_FLAGS = sorted({f for _, flags, _ in _EXPERIMENTS.values()
+                            for f in flags})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,8 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--lepski-K", type=float, default=3.0)
     p_tune.add_argument("--lepski-a", type=float, default=1.5)
 
+    # flags other than seed, threads, out and format default to None so that
+    # only the ones given reach the runner, whose defaults apply otherwise
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")
-    p_sim.add_argument("--experiment", choices=("table1", "phase", "neff"),
+    p_sim.add_argument("--experiment", choices=tuple(_EXPERIMENTS),
                        required=True)
     p_sim.add_argument("--reps", type=int, default=None)
     p_sim.add_argument("--seed", type=int, default=0)
@@ -121,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--df-grid", type=_floats, default=None)
     p_sim.add_argument("--n-grid", type=_ints, default=None)
     p_sim.add_argument("--d-grid", type=_ints, default=None)
-    p_sim.add_argument("--high-dim", action="store_true")
+    p_sim.add_argument("--high-dim", action="store_true", default=None)
     p_sim.add_argument("--threads", type=int, default=None,
                        help="worker count (also ADAHUBER_THREADS)")
     p_sim.add_argument("--out", required=True)
@@ -139,12 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> Dataset:
     data = dataio.load_csv(args.input, args.response, args.delimiter)
-    if getattr(args, "intercept", False):
-        fresh = Dataset(data.x, data.y, intercept=True)
-        object.__setattr__(fresh, "column_names",
-                           getattr(data, "column_names", None))
-        return fresh
-    return data
+    return dataclasses.replace(data, intercept=True) if args.intercept else data
 
 
 def _solver_config(args) -> SolverConfig | None:
@@ -154,8 +177,7 @@ def _solver_config(args) -> SolverConfig | None:
 
 
 def _coef_records(data: Dataset, beta) -> list:
-    names = list(getattr(data, "column_names", None)
-                 or [f"x{j + 1}" for j in range(data.d)])
+    names = list(data.column_names or [f"x{j + 1}" for j in range(data.d)])
     if data.intercept:
         names.append("(intercept)")
     return [{"key": f"coef.{name}", "value": float(b)}
@@ -273,48 +295,24 @@ def cmd_tune(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    threads = resolve_threads(args.threads)
-    if args.experiment == "table1":
-        report = run_table1(
-            reps=args.reps if args.reps is not None else 100,
-            n=args.n if args.n is not None else 100,
-            d=args.d if args.d is not None else 5,
-            seed=args.seed, threads=threads)
-        dataio.write_report(report, args.out, fmt=args.format)
+    runner, takes, columns = _EXPERIMENTS[args.experiment]
+    given = {k: getattr(args, k) for k in _EXPERIMENT_FLAGS
+             if getattr(args, k) is not None}
+    unused = [f"--{k.replace('_', '-')}" for k in given if k not in takes]
+    if unused:
+        raise ValueError(f"--experiment {args.experiment} does not take "
+                         + ", ".join(unused))
+    kwargs = dict(given, seed=args.seed, threads=resolve_threads(args.threads))
+    result = runner(**kwargs)
+    if columns is None:
+        dataio.write_report(result, args.out, fmt=args.format)
         return EXIT_OK
-    if args.experiment == "phase":
-        rows = run_phase_transition(
-            df_grid=args.df_grid or (1.5, 3.0),
-            n=args.n if args.n is not None else 500,
-            d=args.d if args.d is not None else 5,
-            reps=args.reps if args.reps is not None else 200,
-            high_dim=args.high_dim, seed=args.seed, threads=threads)
-        columns = ("df", "delta", "n", "d", "mean_neg_log_error",
-                   "mean_l2_error", "std_l2_error", "failed")
-        dataio.write_records(rows, columns, args.out, fmt=args.format)
-        _write_meta(args, {"experiment": "phase"})
-        return EXIT_OK
-    rows = run_neff_experiment(
-        d_grid=args.d_grid or (100, 500),
-        n_grid=args.n_grid or (200, 400, 800),
-        reps=args.reps if args.reps is not None else 100,
-        seed=args.seed, threads=threads)
-    columns = ("d", "n", "n_eff", "mean_l2_error", "std_l2_error", "failed")
-    dataio.write_records(rows, columns, args.out, fmt=args.format)
-    _write_meta(args, {"experiment": "neff"})
+    dataio.write_records(result, columns, args.out, fmt=args.format)
+    resolved = inspect.signature(runner).bind(**kwargs)
+    resolved.apply_defaults()
+    dataio.write_meta({"experiment": args.experiment, "generator": GENERATOR_ID,
+                       "version": __version__, **resolved.arguments}, args.out)
     return EXIT_OK
-
-
-def _write_meta(args, extra: dict) -> None:
-    meta = {
-        "seed": args.seed,
-        "generator": GENERATOR_ID,
-        "version": __version__,
-    }
-    meta.update(extra)
-    with open(str(args.out) + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 # population kurtosis of a t distribution with five degrees of freedom;
@@ -333,7 +331,7 @@ def cmd_diagnose(args) -> int:
         raise dataio.CsvFormatError(f"{args.input}: empty header")
     response = header_response or columns[0]
     data = dataio.load_csv(args.input, response, args.delimiter)
-    names = [response] + list(getattr(data, "column_names", []))
+    names = [response] + data.column_names
     series = [data.y] + [data.x[:, j] for j in range(data.d)]
 
     records = []
@@ -344,7 +342,7 @@ def cmd_diagnose(args) -> int:
                 "column": name, "kurtosis": k, "degenerate": False,
                 "heavy": k > 3.0, "severe": k > T5_KURTOSIS,
             })
-        except Exception:
+        except (ValueError, RuntimeError):
             records.append({
                 "column": name, "kurtosis": "", "degenerate": True,
                 "heavy": False, "severe": False,

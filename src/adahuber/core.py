@@ -44,12 +44,13 @@ class Dataset:
 
     With ``intercept=True`` a constant-1 column is appended to the working
     design; the corresponding coefficient is never penalized and never
-    truncated.
+    truncated.  ``column_names`` optionally names the d covariates.
     """
 
     x: np.ndarray
     y: np.ndarray
     intercept: bool = False
+    column_names: list | None = None
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -64,6 +65,10 @@ class Dataset:
             )
         _check_finite(x, "x")
         _check_finite(y, "y")
+        if self.column_names is not None and len(self.column_names) != x.shape[1]:
+            raise ValueError(
+                f"{len(self.column_names)} column names for {x.shape[1]} columns"
+            )
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -97,7 +102,8 @@ class Dataset:
 
     def subset(self, idx) -> "Dataset":
         """Row-subset copy (used by cross-validation folds)."""
-        return Dataset(self.x[idx], self.y[idx], self.intercept)
+        return Dataset(self.x[idx], self.y[idx], self.intercept,
+                       self.column_names)
 
 
 @dataclass(frozen=True)

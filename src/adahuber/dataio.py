@@ -79,10 +79,7 @@ def load_csv(path: str, response_column: str, delimiter: str = ",") -> Dataset:
             xs.append([v for i, v in enumerate(parsed) if i != y_idx])
     if not ys:
         raise CsvFormatError(f"{path}: no data rows")
-    data = Dataset(np.asarray(xs), np.asarray(ys))
-    # informational only; Dataset is frozen so bypass its setattr guard
-    object.__setattr__(data, "column_names", x_names)
-    return data
+    return Dataset(np.asarray(xs), np.asarray(ys), column_names=x_names)
 
 
 def save_csv(
@@ -132,21 +129,25 @@ def write_records(records, columns, out, fmt: str = "csv",
 _VOLATILE_KEYS = ("wall_time_s", "threads")
 
 
-def write_report(report, out_path: str, fmt: str = "csv") -> None:
-    """Persist an ExperimentReport: one row per replication per estimator
-    plus a summary block, and a sidecar metadata record.
+def write_meta(meta: dict, out_path: str) -> None:
+    """Write the JSON sidecar ``<out_path>.meta.json`` of an experiment output.
 
-    Runtime-only metadata (wall time, worker count) is dropped so two runs
+    Runtime-only entries (wall time, worker count) are dropped so two runs
     with the same seed produce byte-identical files.
     """
+    meta = {k: v for k, v in meta.items() if k not in _VOLATILE_KEYS}
+    with open(str(out_path) + ".meta.json", "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def write_report(report, out_path: str, fmt: str = "csv") -> None:
+    """Persist an ExperimentReport: one row per replication per estimator
+    plus a summary block, and its metadata sidecar (``write_meta``)."""
     data_cols = sorted({k for row in report.rows for k in row})
     summary_cols = sorted({k for row in report.summary for k in row})
     records = [dict(kind="data", **row) for row in report.rows]
     records += [dict(kind="summary", **row) for row in report.summary]
     columns = ["kind"] + sorted(set(data_cols) | set(summary_cols))
     write_records(records, columns, out_path, fmt=fmt)
-
-    meta = {k: v for k, v in report.metadata.items() if k not in _VOLATILE_KEYS}
-    with open(str(out_path) + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_meta(report.metadata, out_path)

@@ -11,8 +11,8 @@ from .core import (
     Dataset,
     RankDeficientError,
     _check_tau,
-    empirical_loss,
-    gradient,
+    _hloss_score,
+    _mean,
     irls_weight,
 )
 
@@ -80,15 +80,20 @@ class FitResult:
     inner_total: int | None = None
 
 
-def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a symmetric positive-definite system, rejecting singular input."""
-    evals = np.linalg.eigvalsh(gram)
+def _check_rank(evals: np.ndarray) -> None:
+    """Reject a Gram matrix, given its ascending eigenvalues, whose smallest
+    eigenvalue is not above ``_RANK_EPS`` times its largest."""
     lo, hi = float(evals[0]), float(evals[-1])
     if hi <= 0 or lo <= _RANK_EPS * hi:
         cond = np.inf if lo <= 0 else hi / lo
         raise RankDeficientError(
             f"gram matrix is numerically singular (condition number {cond:.3e})"
         )
+
+
+def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a symmetric positive-definite system, rejecting singular input."""
+    _check_rank(np.linalg.eigvalsh(gram))
     return np.linalg.solve(gram, rhs)
 
 
@@ -117,6 +122,8 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
     recorded loss trajectory is nonincreasing.  Warm-started at the OLS
     solution (zero vector if OLS is rank-deficient).  Stops once the
     coefficient change drops below ``cfg.tol`` and the gradient is small.
+    Each sweep forms the residuals once; they give the recorded loss, the
+    gradient and the next sweep's weights.
     """
     cfg = cfg or IRLS_DEFAULTS
     tau = _check_tau(tau)
@@ -128,26 +135,28 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
         beta = np.zeros(data.p)
 
     grad_tol = 1e-6 * (1.0 + float(np.linalg.norm(y)))
-    traj = [empirical_loss(beta, data, tau)]
+    resid = y - design @ beta
+    loss, psi = _hloss_score(resid, tau)
+    traj = [_mean(loss)]
     converged = False
     iterations = 0
 
     for _ in range(cfg.max_iter):
-        resid = y - design @ beta
         w = irls_weight(resid, tau)
         gram = (design * w[:, None]).T @ design / n
         beta_new = solve_spd(gram, design.T @ (w * y) / n)
         step = float(np.linalg.norm(beta_new - beta))
         beta = beta_new
         iterations += 1
-        traj.append(empirical_loss(beta, data, tau))
-        if step <= cfg.tol:
-            grad_norm = float(np.linalg.norm(gradient(beta, data, tau)))
-            if grad_norm <= grad_tol:
-                converged = True
-                break
+        resid = y - design @ beta
+        loss, psi = _hloss_score(resid, tau)
+        traj.append(_mean(loss))
+        if step <= cfg.tol and np.linalg.norm(design.T @ psi / n) <= grad_tol:
+            converged = True
+            break
 
-    grad_norm = float(np.linalg.norm(gradient(beta, data, tau)))
+    # the gradient is -design.T @ psi / n; its sign does not change the norm
+    grad_norm = float(np.linalg.norm(design.T @ psi / n))
     return FitResult(
         beta=beta,
         iterations=iterations,

@@ -1,7 +1,7 @@
 """Synthetic-data generation and Monte Carlo experiments: the low-dimensional
 estimator benchmark, the error-rate phase-transition study, the effective
-sample-size alignment study, and Monte Carlo checks of the robustification
-bias decay and of the truncated-moment bounds."""
+sample-size alignment study, Monte Carlo checks of the robustification bias
+decay and of the truncated-moment bounds, and the Lepski adaptivity study."""
 
 from __future__ import annotations
 
@@ -23,10 +23,15 @@ from .tuning import (
     default_params,
     effective_sample_size,
     estimate_sigma_crude,
+    lepski_select,
     moment_estimate,
 )
 
 GENERATOR_ID = "numpy.default_rng/PCG64"
+
+# the library's error families; every typed solver, sampling and tuning
+# failure derives from one of them (numpy's LinAlgError from ValueError)
+_LIBRARY_ERRORS = (ValueError, RuntimeError)
 
 _NOISE_FAMILIES = ("normal", "student_t", "lognormal")
 
@@ -244,7 +249,7 @@ def run_table1(
     Fits include an intercept by default; the corresponding true coefficient
     is zero.  The default constant grid extends one notch below the usual
     {0.5, 1, 1.5} because cross-validation pins the lower boundary under the
-    heaviest noise.  Solver failures are recorded as NaN rows, never raised.
+    heaviest noise.  Library errors are recorded as NaN rows.
     """
     grid = grid or TuningGrid(TABLE1_CONSTANTS, TABLE1_CONSTANTS,
                               folds=3, t=math.log(n))
@@ -262,7 +267,7 @@ def run_table1(
         try:
             ols = fit_ols(data)
             err = float(np.linalg.norm(ols.beta - target))
-        except Exception:
+        except _LIBRARY_ERRORS:
             err = math.nan
         out.append(
             {"noise": noise.label(), "replication": rep, "estimator": "ols",
@@ -273,7 +278,7 @@ def run_table1(
                 data, grid, high_dim=False, seed=(seed % 2**64, noise_i, rep, 1)
             )
             err = float(np.linalg.norm(fit.beta - target))
-        except Exception:
+        except _LIBRARY_ERRORS:
             err = math.nan
         out.append(
             {"noise": noise.label(), "replication": rep, "estimator": "ahuber",
@@ -341,8 +346,45 @@ def adaptive_tau(residuals, delta: float, n_eff: float, t: float,
     return c_tau * v_hat * (n_eff / t) ** exponent
 
 
+def _run_cells(cells, reps: int, seed: int, high_dim: bool, c_tau: float,
+               c_lambda: float, t: float | None, threads: int | None) -> list:
+    """Student-t replications over (n, d, df) cells: pilot residuals,
+    ``adaptive_tau`` with delta = df - 1 - 0.05 and t = log n unless given,
+    then the Huber fit (in high dimensions the l1 fit at the plug-in
+    penalty) and its l2 error, NaN on a library error.
+
+    Replication ``rep`` of cell ``i`` draws from stream (seed, i, rep).
+    Returns one array of errors per cell, in cell order.
+    """
+    def one(idx):
+        cell, rep = divmod(idx, reps)
+        n, d, df = cells[cell]
+        beta = default_beta_star(d)
+        spec = ExperimentSpec(n, d, beta, NoiseSpec.student_t(df), seed=seed)
+        data, _ = gen_linear_data(spec, rep=(cell, rep))
+        t_val = t if t is not None else math.log(n)
+        n_eff = effective_sample_size(n, d, high_dim)
+        try:
+            resid = _pilot_residuals(data, high_dim, t_val, None)
+            tau = adaptive_tau(resid, df - 1.0 - 0.05, n_eff, t_val, c_tau)
+            if high_dim:
+                sigma = estimate_sigma_crude(data.y)
+                lam = default_params(sigma, n_eff, t_val,
+                                     c_lambda=c_lambda).lam
+                fit = fit_l1_huber(data, HuberParams(tau=tau, lam=lam))
+            else:
+                fit = fit_huber(data, tau)
+            return float(np.linalg.norm(fit.beta - beta))
+        except _LIBRARY_ERRORS:
+            return math.nan
+
+    errors = _map_ordered(one, len(cells) * reps, threads)
+    return [np.asarray(errors[i * reps : (i + 1) * reps])
+            for i in range(len(cells))]
+
+
 def run_phase_transition(
-    df_grid,
+    df_grid=(1.5, 3.0),
     n: int = 500,
     d: int = 5,
     reps: int = 200,
@@ -367,35 +409,10 @@ def run_phase_transition(
     """
     if any(df <= 1.05 for df in df_grid):
         raise ValueError("every df must exceed 1.05 so that delta > 0")
-    beta = default_beta_star(d)
-    t_val = t if t is not None else math.log(n)
-    n_eff = effective_sample_size(n, d, high_dim)
-
-    def one(idx):
-        df_i, rep = divmod(idx, reps)
-        df = df_grid[df_i]
-        delta = df - 1.0 - 0.05
-        spec = ExperimentSpec(n, d, beta, NoiseSpec.student_t(df),
-                              replications=reps, seed=seed)
-        data, _ = gen_linear_data(spec, rep=(df_i, rep))
-        try:
-            resid = _pilot_residuals(data, high_dim, t_val, None)
-            tau = adaptive_tau(resid, delta, n_eff, t_val, c_tau)
-            if high_dim:
-                sigma = estimate_sigma_crude(data.y)
-                lam = default_params(sigma, n_eff, t_val,
-                                     c_lambda=c_lambda).lam
-                fit = fit_l1_huber(data, HuberParams(tau=tau, lam=lam))
-            else:
-                fit = fit_huber(data, tau)
-            return float(np.linalg.norm(fit.beta - beta))
-        except Exception:
-            return math.nan
-
-    errors = _map_ordered(one, len(df_grid) * reps, threads)
+    errors = _run_cells([(n, d, df) for df in df_grid], reps, seed, high_dim,
+                        c_tau, c_lambda, t, threads)
     rows = []
-    for i, df in enumerate(df_grid):
-        errs = np.asarray(errors[i * reps : (i + 1) * reps])
+    for df, errs in zip(df_grid, errors):
         ok = errs[np.isfinite(errs)]
         mean, std, failed = _summary(errs)
         neg_log = float(np.mean(-np.log(ok))) if ok.size else math.nan
@@ -408,8 +425,8 @@ def run_phase_transition(
 
 
 def run_neff_experiment(
-    d_grid,
-    n_grid,
+    d_grid=(100, 500),
+    n_grid=(200, 400, 800),
     reps: int = 100,
     seed: int = 0,
     df: float = 1.5,
@@ -420,36 +437,15 @@ def run_neff_experiment(
 ) -> list:
     """Error versus effective sample size n / log d for the l1 solver.
 
-    Student-t noise with the given df (delta = df - 1 - 0.05), the
-    robustification level c_tau * v_hat * (n / log d)^(1 / (1 + delta)), and
-    the penalty from the plug-in rule.  One row per (d, n) pair.
+    The high-dimensional phase-transition replication at one df over a grid
+    of (d, n) cells: the robustification level
+    c_tau * v_hat * (n / log d)^(1 / (1 + delta)) and the penalty from the
+    plug-in rule.  One row per (d, n) pair.
     """
-    cells = [(d, n) for d in d_grid for n in n_grid]
-    delta = df - 1.0 - 0.05
-
-    def one(idx):
-        cell, rep = divmod(idx, reps)
-        d, n = cells[cell]
-        beta = default_beta_star(d)
-        spec = ExperimentSpec(n, d, beta, NoiseSpec.student_t(df),
-                              replications=reps, seed=seed)
-        data, _ = gen_linear_data(spec, rep=(cell, rep))
-        t_val = t if t is not None else math.log(n)
-        n_eff = effective_sample_size(n, d, True)
-        try:
-            resid = _pilot_residuals(data, True, t_val, None)
-            tau = adaptive_tau(resid, delta, n_eff, t_val, c_tau)
-            sigma = estimate_sigma_crude(data.y)
-            lam = default_params(sigma, n_eff, t_val, c_lambda=c_lambda).lam
-            fit = fit_l1_huber(data, HuberParams(tau=tau, lam=lam))
-            return float(np.linalg.norm(fit.beta - beta))
-        except Exception:
-            return math.nan
-
-    errors = _map_ordered(one, len(cells) * reps, threads)
+    cells = [(n, d, df) for d in d_grid for n in n_grid]
+    errors = _run_cells(cells, reps, seed, True, c_tau, c_lambda, t, threads)
     rows = []
-    for i, (d, n) in enumerate(cells):
-        errs = errors[i * reps : (i + 1) * reps]
+    for (n, d, _), errs in zip(cells, errors):
         mean, std, failed = _summary(errs)
         rows.append(
             {"d": d, "n": n, "n_eff": n / math.log(d),
@@ -569,3 +565,56 @@ def check_truncated_moments(
         report["second_lower_bound"] = float(lower)
         report["second_lower_ok"] = bool(mean_psi2 >= lower - slack)
     return report
+
+
+# the settings of acceptance criteria 6 and 7
+MOMENT_NOISE = NoiseSpec.lognormal(1.0)
+MOMENT_TAUS = (1.0, 2.0, 4.0, 8.0, 16.0)
+
+
+def run_moment_checks(n: int = 100_000, seed: int = 0,
+                      threads: int | None = None) -> list:
+    """Bias decay and truncated-moment bounds under centered lognormal(1)
+    noise.
+
+    One row per tau in ``MOMENT_TAUS``: the ``check_bias_decay`` row at
+    sample size ``n`` merged with the ``check_truncated_moments`` report at
+    kappa = 1 from 10^6 draws.  The moment checks of different taus run on
+    the worker pool.
+    """
+    bias = check_bias_decay(MOMENT_NOISE, MOMENT_TAUS, n_large=n, seed=seed)
+    moments = _map_ordered(
+        lambda i: check_truncated_moments(MOMENT_NOISE, MOMENT_TAUS[i], 1.0,
+                                          n_mc=1_000_000, seed=seed),
+        len(MOMENT_TAUS), threads)
+    return [{**b, **m} for b, m in zip(bias, moments)]
+
+
+LEPSKI_NOISES = (("normal", NoiseSpec.normal(1.0)),
+                 ("t2", NoiseSpec.student_t(2.0)))
+
+
+def run_lepski_study(n: int = 500, d: int = 5, reps: int = 50, seed: int = 0,
+                     threads: int | None = None) -> list:
+    """Adaptivity of ``lepski_select`` at its defaults (K = 3, a = 1.5): per
+    replication and noise law, the l2 error of the selected fit beside the
+    best fixed-tau fit on its grid.
+
+    Replication ``rep`` of either noise draws from stream (seed, rep), so both
+    noise laws share the design.  Failures raise.
+    """
+    beta = default_beta_star(d)
+
+    def one(idx):
+        noise_i, rep = divmod(idx, reps)
+        label, noise = LEPSKI_NOISES[noise_i]
+        data, _ = gen_linear_data(ExperimentSpec(n, d, beta, noise, seed=seed),
+                                  rep)
+        fit, j_hat, diag = lepski_select(data)
+        best = min(float(np.linalg.norm(fit_huber(data, tau).beta - beta))
+                   for tau in diag["taus"])
+        return {"noise": label, "replication": rep, "selected_index": j_hat,
+                "selected_error": float(np.linalg.norm(fit.beta - beta)),
+                "best_fixed_error": best, "fallback": diag["fallback"]}
+
+    return _map_ordered(one, len(LEPSKI_NOISES) * reps, threads)

@@ -17,7 +17,7 @@ from .core import (
     RankDeficientError,
     predict,
 )
-from .irls import FitResult, SolverConfig, fit_huber, fit_ols
+from .irls import FitResult, SolverConfig, _check_rank, fit_huber, fit_ols
 from .lamm import fit_l1_huber
 
 
@@ -252,12 +252,7 @@ def lepski_select(
         )
     gram = design.T @ design / n
     evals, vecs = np.linalg.eigh(gram)
-    lo, hi = float(evals[0]), float(evals[-1])
-    if hi <= 0 or lo <= 1e-12 * hi:
-        cond = np.inf if lo <= 0 else hi / lo
-        raise RankDeficientError(
-            f"gram matrix is numerically singular (condition number {cond:.3e})"
-        )
+    _check_rank(evals)
     root = (vecs * np.sqrt(evals)) @ vecs.T
     inv_root = (vecs / np.sqrt(evals)) @ vecs.T
     l_tilde = float(np.max(np.abs(design @ inv_root)))

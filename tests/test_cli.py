@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,9 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from adahuber.cli import main
+from adahuber.cli import build_parser, main
 from adahuber.core import Dataset
 from adahuber.dataio import CsvFormatError, load_csv, save_csv
+from adahuber.simlab import run_lepski_study, run_moment_checks
 
 
 @pytest.fixture
@@ -173,11 +175,28 @@ def test_tune_lepski_reports_grid(tmp_path):
 
 # ------------------------------------------------------------------- simulate
 
-@pytest.mark.parametrize("experiment,extra", [
+# small arguments for every simulate experiment
+SIMULATE_CASES = [
     ("table1", ["--reps", "2", "--n", "60"]),
     ("phase", ["--df-grid", "1.5,3.0", "--reps", "2", "--n", "80", "--d", "3"]),
     ("neff", ["--d-grid", "40", "--n-grid", "80,120", "--reps", "2"]),
-])
+    ("moments", ["--n", "2000"]),
+    ("lepski", ["--n", "60", "--d", "3", "--reps", "2"]),
+]
+
+
+def simulate_choices():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices["simulate"]._actions
+                if a.dest == "experiment").choices
+
+
+def test_simulate_cases_cover_every_experiment():
+    assert [e for e, _ in SIMULATE_CASES] == list(simulate_choices())
+
+
+@pytest.mark.parametrize("experiment,extra", SIMULATE_CASES)
 def test_simulate_deterministic_across_threads(tmp_path, experiment, extra):
     outputs = []
     for threads in ("1", "3"):
@@ -200,6 +219,49 @@ def test_simulate_table1_row_count(tmp_path):
     meta = json.loads((tmp_path / "t1.csv.meta.json").read_text())
     assert meta["spec"]["seed"] == 3
     assert "wall_time_s" not in meta
+
+
+@pytest.mark.parametrize("n", ["80", "120"])
+def test_simulate_phase_sidecar_echoes_configuration(tmp_path, n):
+    out = tmp_path / "ph.csv"
+    assert main(["simulate", "--experiment", "phase", "--df-grid", "1.5",
+                 "--reps", "1", "--n", n, "--d", "3", "--seed", "3",
+                 "--threads", "2", "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "ph.csv.meta.json").read_text())
+    assert meta["experiment"] == "phase"
+    assert meta["n"] == int(n) and meta["d"] == 3 and meta["reps"] == 1
+    assert meta["df_grid"] == [1.5] and meta["seed"] == 3
+    # defaults the command line did not pass are echoed too
+    assert meta["c_tau"] == 0.05 and meta["high_dim"] is False
+    assert "threads" not in meta
+
+
+@pytest.mark.parametrize("experiment,extra", [
+    ("neff", ["--d-grid", "40", "--n-grid", "80", "--reps", "1", "--n", "50"]),
+    ("table1", ["--reps", "1", "--n", "30", "--high-dim"]),
+])
+def test_simulate_rejects_flags_the_experiment_ignores(tmp_path, experiment,
+                                                       extra, capsys):
+    out = tmp_path / "o.csv"
+    code = main(["simulate", "--experiment", experiment, "--threads", "1",
+                 "--out", str(out)] + extra)
+    assert code == 1
+    assert "does not take" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment,extra,direct", [
+    ("moments", ["--n", "2000"], lambda: run_moment_checks(n=2000, seed=7)),
+    ("lepski", ["--n", "60", "--d", "3", "--reps", "2"],
+     lambda: run_lepski_study(n=60, d=3, reps=2, seed=7)),
+])
+def test_simulate_rows_equal_direct_simlab_calls(tmp_path, experiment, extra,
+                                                 direct):
+    out = tmp_path / "o.jsonl"
+    assert main(["simulate", "--experiment", experiment, "--seed", "7",
+                 "--format", "jsonl", "--out", str(out)] + extra) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert records == direct()
 
 
 # ------------------------------------------------------------------- diagnose

@@ -260,6 +260,15 @@ def test_dataset_intercept_design(rng):
     assert data.penalty_mask.tolist() == [True, True, False]
 
 
+def test_dataset_column_names_survive_subset(rng):
+    data = Dataset(rng.standard_normal((5, 2)), np.zeros(5), intercept=True,
+                   column_names=["a", "b"])
+    part = data.subset([0, 2, 4])
+    assert part.column_names == ["a", "b"] and part.intercept
+    with pytest.raises(ValueError, match="1 column names for 2 columns"):
+        Dataset(rng.standard_normal((5, 2)), np.zeros(5), column_names=["a"])
+
+
 def test_huber_params_validation():
     with pytest.raises(ValueError):
         HuberParams(tau=0.0)

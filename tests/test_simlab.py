@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from adahuber import simlab
 from adahuber.core import DegenerateSampleError
 from adahuber.simlab import (
     ExperimentSpec,
@@ -123,6 +124,16 @@ def test_table1_thread_count_invariance():
     b = run_table1(reps=3, seed=9, threads=4)
     assert a.rows == b.rows
     assert a.summary == b.summary
+
+
+def test_table1_raises_errors_outside_the_library_families(monkeypatch):
+    # a bug (here a TypeError) must surface instead of becoming a NaN row
+    def broken(data):
+        raise TypeError("not a solver failure")
+
+    monkeypatch.setattr(simlab, "fit_ols", broken)
+    with pytest.raises(TypeError, match="not a solver failure"):
+        run_table1(reps=1, threads=1)
 
 
 def test_phase_rows_and_delta_mapping():

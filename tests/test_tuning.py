@@ -213,6 +213,16 @@ def test_lepski_requires_overdetermined(rng):
         lepski_select(data)
 
 
+def test_lepski_collinear_overdetermined_design(rng):
+    # n > p, but the third column repeats the first: the Gram matrix is
+    # singular and the shared rank check rejects it with its usual message
+    x = rng.standard_normal((50, 2))
+    x = np.column_stack([x, x[:, 0]])
+    data = Dataset(x, x[:, 0] + rng.standard_normal(50))
+    with pytest.raises(RankDeficientError, match="numerically singular"):
+        lepski_select(data)
+
+
 def test_lepski_defaults_from_data(rng):
     x = rng.standard_normal((200, 4))
     y = x @ np.array([2.0, -1.0, 0.5, 1.0]) + rng.standard_normal(200)
