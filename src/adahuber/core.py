@@ -157,6 +157,11 @@ def _soft_threshold(v, kappa):
     return v - _score(v, kappa)
 
 
+def _weight(r, tau):
+    # psi(r)/r: exactly 1 wherever |r| <= tau, so also at 0 and -0.0
+    return tau / np.maximum(np.abs(r), tau)
+
+
 def huber_loss(x, tau):
     """Huber loss: x^2/2 for |x| <= tau, tau*|x| - tau^2/2 beyond."""
     tau = _check_tau(tau)
@@ -174,9 +179,7 @@ def huber_score(x, tau):
 def irls_weight(r, tau):
     """Reweighting factor psi(r)/r: 1 on [-tau, tau] (and at 0), tau/|r| beyond."""
     tau = _check_tau(tau)
-    a = np.abs(_as_float_array(r, "r"))
-    out = np.where(a <= tau, 1.0, tau / np.where(a > tau, a, 1.0))
-    return _maybe_scalar(out, r)
+    return _maybe_scalar(_weight(_as_float_array(r, "r"), tau), r)
 
 
 def residuals(beta, data: Dataset) -> np.ndarray:

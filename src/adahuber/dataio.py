@@ -82,25 +82,18 @@ def load_csv(path: str, response_column: str, delimiter: str = ",") -> Dataset:
     return Dataset(np.asarray(xs), np.asarray(ys), column_names=x_names)
 
 
-def save_csv(
-    data: Dataset,
-    path: str,
-    response_name: str = "y",
-    column_names=None,
-    delimiter: str = ",",
-) -> None:
-    """Write a Dataset back to headed CSV (response first, then covariates)."""
-    names = column_names or [f"x{j + 1}" for j in range(data.d)]
+def save_csv(data: Dataset, path: str) -> None:
+    """Write a Dataset as comma-separated CSV under the header
+    ``y,x1,...,xd`` (response first, then covariates)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-        writer.writerow([response_name] + list(names))
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["y"] + [f"x{j + 1}" for j in range(data.d)])
         for i in range(data.n):
             writer.writerow([_fmt(float(data.y[i]))] +
                             [_fmt(float(v)) for v in data.x[i]])
 
 
-def write_records(records, columns, out, fmt: str = "csv",
-                  delimiter: str = ",") -> None:
+def write_records(records, columns, out, fmt: str = "csv") -> None:
     """Write homogeneous dict records as CSV (fixed column order) or as
     JSON lines."""
     close = False
@@ -109,7 +102,7 @@ def write_records(records, columns, out, fmt: str = "csv",
         close = True
     try:
         if fmt == "csv":
-            writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
+            writer = csv.writer(out, lineterminator="\n")
             writer.writerow(columns)
             for rec in records:
                 writer.writerow([_fmt(rec.get(c, "")) for c in columns])
@@ -126,14 +119,14 @@ def write_records(records, columns, out, fmt: str = "csv",
 
 
 # metadata keys that vary run to run without affecting results
-_VOLATILE_KEYS = ("wall_time_s", "threads")
+_VOLATILE_KEYS = ("threads",)
 
 
 def write_meta(meta: dict, out_path: str) -> None:
     """Write the JSON sidecar ``<out_path>.meta.json`` of an experiment output.
 
-    Runtime-only entries (wall time, worker count) are dropped so two runs
-    with the same seed produce byte-identical files.
+    The worker count is dropped so two runs with the same seed produce
+    byte-identical files.
     """
     meta = {k: v for k, v in meta.items() if k not in _VOLATILE_KEYS}
     with open(str(out_path) + ".meta.json", "w", encoding="utf-8") as fh:

@@ -13,7 +13,7 @@ from .core import (
     _check_tau,
     _hloss_score,
     _mean,
-    irls_weight,
+    _weight,
 )
 
 # Relative eigenvalue floor below which a Gram matrix is treated as singular.
@@ -26,25 +26,16 @@ class SolverConfig:
 
     tol       stopping threshold on the coefficient change ||b_new - b_old||_2
     max_iter  outer-iteration cap; exceeding it is a soft failure
-    phi0      initial isotropic quadratic parameter (majorization solver only)
-    gamma_u   phi's inflation factor while the surrogate fails, and its warm-down
-              per step (fit_l1_huber: momentum, safeguard, restart, floor stop)
     """
 
     tol: float = 1e-4
     max_iter: int = 5000
-    phi0: float = 1e-4
-    gamma_u: float = 2.0
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not self.phi0 > 0:
-            raise ValueError("phi0 must be positive")
-        if not self.gamma_u > 1:
-            raise ValueError("gamma_u must exceed 1")
 
 
 # Tighter coefficient tolerance for IRLS: each sweep is a full least-squares
@@ -142,7 +133,7 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
     iterations = 0
 
     for _ in range(cfg.max_iter):
-        w = irls_weight(resid, tau)
+        w = _weight(resid, tau)
         gram = (design * w[:, None]).T @ design / n
         beta_new = solve_spd(gram, design.T @ (w * y) / n)
         step = float(np.linalg.norm(beta_new - beta))

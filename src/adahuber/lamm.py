@@ -25,6 +25,11 @@ from .irls import LAMM_DEFAULTS, FitResult, SolverConfig
 _MAJORIZE_SLACK = 1e-12
 _PHI_OVERFLOW = 1e300
 
+# Floor and starting value of the isotropic quadratic parameter phi, and the
+# factor by which phi inflates while the surrogate fails and warms down per step.
+PHI0 = 1e-4
+GAMMA_U = 2.0
+
 # Stationarity tolerance guaranteed for returned solutions.
 KKT_TOL = 1e-4
 
@@ -89,7 +94,7 @@ def fit_l1_huber(
 ) -> FitResult:
     """Solve the l1-penalized Huber problem by monotone accelerated LAMM.
 
-    From zero, each iteration warms phi down by one gamma_u (never below phi0)
+    From zero, each iteration warms phi down by one GAMMA_U (never below PHI0)
     and inflates it until the surrogate at the extrapolated point z majorizes
     the loss at the candidate u.  The MFISTA safeguard keeps u only if the
     penalized objective does not rise, so the trajectory never increases; z
@@ -113,18 +118,18 @@ def fit_l1_huber(
     # combination of fresh ones, so no drift builds up)
     beta, r_beta = np.zeros(data.p), y
     f_beta = _mean(_hloss_score(y, tau)[0])
-    z, r_z, t, phi, grad = beta, y, 1.0, cfg.phi0, None
+    z, r_z, t, phi, grad = beta, y, 1.0, PHI0, None
     traj, converged, stop_reason = [f_beta], False, "max_iter"
     for _ in range(cfg.max_iter):
         loss_z, grad_z = loss_grad(r_z)
-        phi = max(cfg.phi0, phi / cfg.gamma_u)
+        phi = max(PHI0, phi / GAMMA_U)
         for inner in itertools.count(1):
             u = _step(z, grad_z, lam, phi, data.intercept)
             r_u = y - design @ u
             loss_u = _mean(_hloss_score(r_u, tau)[0])
             if _majorizes(loss_u, loss_z, grad_z, u - z, phi):
                 break
-            phi *= cfg.gamma_u
+            phi *= GAMMA_U
             if phi > _PHI_OVERFLOW:
                 raise NumericalFailureError("quadratic parameter overflow")
         trials.append(inner)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -41,16 +40,14 @@ class NoiseSpec:
     """Error distribution for synthetic regression data.
 
     Families: normal (scale ``variance``), student_t (``df`` > 1 so the mean
-    exists), lognormal (``log_variance`` of the underlying normal; with
-    ``centered=True`` the analytic mean exp(log_variance / 2) is subtracted
-    so the errors average to zero).
+    exists), lognormal (``log_variance`` of the underlying normal, minus the
+    analytic mean exp(log_variance / 2) so the errors average to zero).
     """
 
     family: str
     variance: float | None = None
     df: float | None = None
     log_variance: float | None = None
-    centered: bool = True
 
     def __post_init__(self):
         if self.family not in _NOISE_FAMILIES:
@@ -75,12 +72,8 @@ class NoiseSpec:
         return cls("student_t", df=df)
 
     @classmethod
-    def lognormal(cls, log_variance: float, centered: bool = True) -> "NoiseSpec":
-        return cls("lognormal", log_variance=log_variance, centered=centered)
-
-    @property
-    def asymmetric(self) -> bool:
-        return self.family == "lognormal"
+    def lognormal(cls, log_variance: float) -> "NoiseSpec":
+        return cls("lognormal", log_variance=log_variance)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.family == "normal":
@@ -88,29 +81,25 @@ class NoiseSpec:
         if self.family == "student_t":
             return rng.standard_t(self.df, size)
         draws = np.exp(rng.normal(0.0, math.sqrt(self.log_variance), size))
-        if self.centered:
-            draws = draws - math.exp(self.log_variance / 2.0)
-        return draws
+        return draws - math.exp(self.log_variance / 2.0)
 
     def label(self) -> str:
         if self.family == "normal":
             return f"normal({self.variance:g})"
         if self.family == "student_t":
             return f"student_t({self.df:g})"
-        suffix = "" if self.centered else ",raw"
-        return f"lognormal({self.log_variance:g}{suffix})"
+        return f"lognormal({self.log_variance:g})"
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One synthetic-data configuration: dimensions, true coefficients,
-    noise family, replication count, and the master seed."""
+    noise family, and the master seed."""
 
     n: int
     d: int
     beta_star: np.ndarray
     noise: NoiseSpec
-    replications: int = 100
     seed: int = 0
 
     def __post_init__(self):
@@ -119,28 +108,13 @@ class ExperimentSpec:
             raise ValueError(
                 f"beta_star has length {beta.shape[0]}, expected d={self.d}"
             )
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
         object.__setattr__(self, "beta_star", beta)
-
-    def echo(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "beta_star": [float(b) for b in self.beta_star],
-            "noise": self.noise.label(),
-            "replications": self.replications,
-            "seed": self.seed,
-        }
 
 
 @dataclass
 class ExperimentReport:
-    """Per-replication records, a summary block, and run metadata.
-
-    ``metadata`` may carry runtime-only entries (wall time, worker count);
-    the file writers drop those so outputs stay byte-identical across runs.
-    """
+    """Per-replication records, a summary block, and deterministic run
+    metadata."""
 
     rows: list = field(default_factory=list)
     summary: list = field(default_factory=list)
@@ -230,7 +204,11 @@ TABLE1_NOISES = (
 )
 
 
+# 3-fold CV over these constants for both c_tau and c_lambda: one notch below
+# the usual {0.5, 1, 1.5}, because CV pins the lower boundary under the
+# heaviest noise
 TABLE1_CONSTANTS = (0.25, 0.5, 1.0, 1.5)
+TABLE1_GRID = TuningGrid(TABLE1_CONSTANTS, TABLE1_CONSTANTS, folds=3)
 
 
 def run_table1(
@@ -238,31 +216,24 @@ def run_table1(
     n: int = 100,
     d: int = 5,
     seed: int = 0,
-    noises=TABLE1_NOISES,
-    grid: TuningGrid | None = None,
-    intercept: bool = True,
     threads: int | None = None,
 ) -> ExperimentReport:
-    """Estimator benchmark: adaptive Huber (CV-tuned tau, t = log n) against
-    OLS, l2-error per replication for each noise family.
+    """Estimator benchmark: adaptive Huber (CV-tuned tau over
+    ``TABLE1_GRID``, t = log n) against OLS, l2-error per replication for
+    each of ``TABLE1_NOISES``.
 
-    Fits include an intercept by default; the corresponding true coefficient
-    is zero.  The default constant grid extends one notch below the usual
-    {0.5, 1, 1.5} because cross-validation pins the lower boundary under the
-    heaviest noise.  Library errors are recorded as NaN rows.
+    Fits include an intercept, whose true coefficient is zero.  Library
+    errors are recorded as NaN rows.
     """
-    grid = grid or TuningGrid(TABLE1_CONSTANTS, TABLE1_CONSTANTS,
-                              folds=3, t=math.log(n))
     beta = default_beta_star(d)
-    target = np.append(beta, 0.0) if intercept else beta
-    start = time.perf_counter()
+    target = np.append(beta, 0.0)
 
     def one(idx):
         noise_i, rep = divmod(idx, reps)
-        noise = noises[noise_i]
-        spec = ExperimentSpec(n, d, beta, noise, replications=reps, seed=seed)
+        noise = TABLE1_NOISES[noise_i]
+        spec = ExperimentSpec(n, d, beta, noise, seed=seed)
         raw, _ = gen_linear_data(spec, rep=(noise_i, rep))
-        data = Dataset(raw.x, raw.y, intercept=intercept)
+        data = Dataset(raw.x, raw.y, intercept=True)
         out = []
         try:
             ols = fit_ols(data)
@@ -275,7 +246,8 @@ def run_table1(
         )
         try:
             _, _, fit, _ = cross_validate(
-                data, grid, high_dim=False, seed=(seed % 2**64, noise_i, rep, 1)
+                data, TABLE1_GRID, high_dim=False,
+                seed=(seed % 2**64, noise_i, rep, 1)
             )
             err = float(np.linalg.norm(fit.beta - target))
         except _LIBRARY_ERRORS:
@@ -286,11 +258,11 @@ def run_table1(
         )
         return out
 
-    chunks = _map_ordered(one, len(noises) * reps, threads)
+    chunks = _map_ordered(one, len(TABLE1_NOISES) * reps, threads)
     rows = [row for chunk in chunks for row in chunk]
 
     summary = []
-    for noise in noises:
+    for noise in TABLE1_NOISES:
         for estimator in ("ahuber", "ols"):
             errs = [
                 r["l2_error"]
@@ -305,17 +277,20 @@ def run_table1(
     metadata = {
         "experiment": "table1",
         "spec": {"n": n, "d": d, "reps": reps, "seed": seed,
-                 "intercept": intercept,
-                 "noises": [s.label() for s in noises]},
+                 "intercept": True,
+                 "noises": [s.label() for s in TABLE1_NOISES]},
         "generator": GENERATOR_ID,
         "version": __version__,
-        "wall_time_s": time.perf_counter() - start,
     }
     return ExperimentReport(rows=rows, summary=summary, metadata=metadata)
 
 
-def _pilot_residuals(data: Dataset, high_dim: bool, t: float,
-                     cfg: SolverConfig | None):
+# a loose solver suffices for the pilot l1 fit, whose residuals only feed a
+# moment estimate
+_PILOT_CFG = SolverConfig(tol=1e-3, max_iter=2000)
+
+
+def _pilot_residuals(data: Dataset, high_dim: bool, t: float):
     """Residuals for moment estimation before the main fit.
 
     OLS residuals when the sample comfortably supports them; otherwise an
@@ -327,8 +302,7 @@ def _pilot_residuals(data: Dataset, high_dim: bool, t: float,
         return data.y - data.design @ fit.beta
     sigma = estimate_sigma_crude(data.y)
     n_eff = effective_sample_size(data.n, data.d, True)
-    pilot_cfg = cfg or SolverConfig(tol=1e-3, max_iter=2000)
-    fit = fit_l1_huber(data, default_params(sigma, n_eff, t), pilot_cfg)
+    fit = fit_l1_huber(data, default_params(sigma, n_eff, t), _PILOT_CFG)
     return data.y - data.design @ fit.beta
 
 
@@ -365,7 +339,7 @@ def _run_cells(cells, reps: int, seed: int, high_dim: bool, c_tau: float,
         t_val = t if t is not None else math.log(n)
         n_eff = effective_sample_size(n, d, high_dim)
         try:
-            resid = _pilot_residuals(data, high_dim, t_val, None)
+            resid = _pilot_residuals(data, high_dim, t_val)
             tau = adaptive_tau(resid, df - 1.0 - 0.05, n_eff, t_val, c_tau)
             if high_dim:
                 sigma = estimate_sigma_crude(data.y)
@@ -459,26 +433,25 @@ def check_bias_decay(
     tau_grid,
     n_large: int = 100_000,
     seed: int = 0,
-    d: int = 5,
-    cfg: SolverConfig | None = None,
 ) -> list:
     """Robustification bias versus tau, measured at a large sample size.
 
-    Fits include an intercept, which is where asymmetric noise pushes the
-    population Huber coefficient away from the truth; the reported bias is
-    the l2 distance between the large-n fit and the true coefficients.  Each
+    The design has d = 5 standard normal covariates.  Fits include an
+    intercept, which is where asymmetric noise pushes the population Huber
+    coefficient away from the truth; the reported bias is the l2 distance
+    between the large-n fit and the true coefficients.  Each
     row also carries a sandwich-style standard error for the fit itself so
     that bias can be told apart from Monte Carlo noise.
     """
-    beta = default_beta_star(d)
-    spec = ExperimentSpec(n_large, d, beta, noise, replications=1, seed=seed)
+    beta = default_beta_star(5)
+    spec = ExperimentSpec(n_large, 5, beta, noise, seed=seed)
     raw, _ = gen_linear_data(spec)
     data = Dataset(raw.x, raw.y, intercept=True)
     target = np.append(beta, 0.0)
 
     rows = []
     for tau in tau_grid:
-        fit = fit_huber(data, tau, cfg)
+        fit = fit_huber(data, tau)
         resid = data.y - data.design @ fit.beta
         psi = _score(resid, tau)
         active = float(np.mean(np.abs(resid) <= tau))
@@ -518,8 +491,12 @@ def check_truncated_moments(
     """
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
-    rng = _rng(seed)
-    eps = noise.sample(rng, n_mc)
+    return _moment_report(noise.sample(_rng(seed), n_mc), tau, kappa)
+
+
+def _moment_report(eps: np.ndarray, tau: float, kappa: float) -> dict:
+    """The ``check_truncated_moments`` report computed from given draws."""
+    n_mc = eps.shape[0]
     root_n = math.sqrt(n_mc)
 
     psi = _score(eps, tau)
@@ -579,14 +556,13 @@ def run_moment_checks(n: int = 100_000, seed: int = 0,
 
     One row per tau in ``MOMENT_TAUS``: the ``check_bias_decay`` row at
     sample size ``n`` merged with the ``check_truncated_moments`` report at
-    kappa = 1 from 10^6 draws.  The moment checks of different taus run on
-    the worker pool.
+    kappa = 1 from one set of 10^6 draws.  The moment checks of different
+    taus run on the worker pool.
     """
     bias = check_bias_decay(MOMENT_NOISE, MOMENT_TAUS, n_large=n, seed=seed)
-    moments = _map_ordered(
-        lambda i: check_truncated_moments(MOMENT_NOISE, MOMENT_TAUS[i], 1.0,
-                                          n_mc=1_000_000, seed=seed),
-        len(MOMENT_TAUS), threads)
+    eps = MOMENT_NOISE.sample(_rng(seed), 1_000_000)  # shared by every tau
+    moments = _map_ordered(lambda i: _moment_report(eps, MOMENT_TAUS[i], 1.0),
+                           len(MOMENT_TAUS), threads)
     return [{**b, **m} for b, m in zip(bias, moments)]
 
 
@@ -611,8 +587,7 @@ def run_lepski_study(n: int = 500, d: int = 5, reps: int = 50, seed: int = 0,
         data, _ = gen_linear_data(ExperimentSpec(n, d, beta, noise, seed=seed),
                                   rep)
         fit, j_hat, diag = lepski_select(data)
-        best = min(float(np.linalg.norm(fit_huber(data, tau).beta - beta))
-                   for tau in diag["taus"])
+        best = min(float(np.linalg.norm(b - beta)) for b in diag["betas"])
         return {"noise": label, "replication": rep, "selected_index": j_hat,
                 "selected_error": float(np.linalg.norm(fit.beta - beta)),
                 "best_fixed_error": best, "fallback": diag["fallback"]}

@@ -17,7 +17,7 @@ from .core import (
     RankDeficientError,
     predict,
 )
-from .irls import FitResult, SolverConfig, _check_rank, fit_huber, fit_ols
+from .irls import _check_rank, fit_huber, fit_ols
 from .lamm import fit_l1_huber
 
 
@@ -27,21 +27,18 @@ class TuningError(RuntimeError):
 
 @dataclass(frozen=True)
 class TuningGrid:
-    """Cross-validation grid: candidate constants for tau and lam, fold
-    count, and the confidence parameter t (None means log n at use time)."""
+    """Cross-validation grid: candidate constants for tau and lam, and the
+    fold count."""
 
     c_tau_candidates: tuple = (0.5, 1.0, 1.5)
     c_lambda_candidates: tuple = (0.5, 1.0, 1.5)
     folds: int = 3
-    t: float | None = None
 
     def __post_init__(self):
         if len(self.c_tau_candidates) == 0 or len(self.c_lambda_candidates) == 0:
             raise ValueError("candidate lists must be nonempty")
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
-        if self.t is not None and not self.t > 0:
-            raise ValueError("t must be positive")
 
 
 def effective_sample_size(n: int, d: int, high_dim: bool) -> float:
@@ -100,9 +97,9 @@ def cross_validate(
     grid: TuningGrid | None = None,
     high_dim: bool = False,
     seed=0,
-    cfg: SolverConfig | None = None,
 ):
-    """Pick (c_tau, c_lambda) by k-fold cross-validation on held-out MAE.
+    """Pick (c_tau, c_lambda) by k-fold cross-validation on held-out MAE,
+    with the plug-in rules at t = log n.
 
     Rows are shuffled once with the given seed and split into contiguous
     blocks.  Ties are broken toward the larger c_tau, then the larger
@@ -115,7 +112,7 @@ def cross_validate(
     n = data.n
     if grid.folds > n:
         raise ValueError(f"folds ({grid.folds}) exceeds sample size ({n})")
-    t = grid.t if grid.t is not None else math.log(n)
+    t = math.log(n)
     sigma = estimate_sigma_crude(data.y)
     n_eff = effective_sample_size(n, data.d, high_dim)
 
@@ -140,9 +137,9 @@ def cross_validate(
         params = default_params(sigma, n_eff, t, c_tau, c_lambda)
         sub = data.subset(train)
         if high_dim:
-            fit = fit_l1_huber(sub, params, cfg)
+            fit = fit_l1_huber(sub, params)
         else:
-            fit = fit_huber(sub, params.tau, cfg)
+            fit = fit_huber(sub, params.tau)
         pred = predict(fit.beta, data.x[test], data.intercept)
         value = float(np.mean(np.abs(data.y[test] - pred)))
         fold_cache[key] = value
@@ -174,9 +171,9 @@ def cross_validate(
     best = min(viable, key=lambda r: (r["mean_mae"], -r["c_tau"], -r["c_lambda"]))
     params = default_params(sigma, n_eff, t, best["c_tau"], best["c_lambda"])
     if high_dim:
-        fit = fit_l1_huber(data, params, cfg)
+        fit = fit_l1_huber(data, params)
     else:
-        fit = fit_huber(data, params.tau, cfg)
+        fit = fit_huber(data, params.tau)
     return best["c_tau"], best["c_lambda"], fit, table
 
 
@@ -187,7 +184,6 @@ class LepskiGrid:
 
     sigma_min: float
     sigma_max: float
-    t: float
     a: float = 1.5
 
     def __post_init__(self):
@@ -195,8 +191,6 @@ class LepskiGrid:
             raise ValueError("need 0 < sigma_min <= sigma_max")
         if not self.a > 1:
             raise ValueError("grid ratio a must exceed 1")
-        if not self.t > 0:
-            raise ValueError("t must be positive")
 
     @cached_property
     def grid(self) -> tuple:
@@ -224,25 +218,18 @@ def choose_lepski_index(distances: np.ndarray, thresholds) -> tuple[int, bool]:
     return m - 1, True
 
 
-def lepski_select(
-    data: Dataset,
-    grid: LepskiGrid | None = None,
-    K: float = 3.0,
-    a: float = 1.5,
-    t: float | None = None,
-    cfg: SolverConfig | None = None,
-):
+def lepski_select(data: Dataset, K: float = 3.0, a: float = 1.5):
     """Adaptive choice of the robustification level over a geometric grid.
 
-    Fits one unpenalized Huber regression per grid point with
-    tau_j = sigma_j * sqrt(n / t), then selects the smallest j whose
-    rescaled distances to all later fits stay within
+    The grid is ``LepskiGrid(sigma / K, K * sigma, a)`` around the OLS
+    residual scale sigma.  Fits one unpenalized Huber regression per grid
+    point with tau_j = sigma_j * sqrt(n / t), t = log n, then selects the
+    smallest j whose rescaled distances to all later fits stay within
     8 * L * sigma_j * sqrt(d) * sqrt(t / n), where L is the largest
-    sup-norm of the whitened covariate rows.  When ``grid`` is omitted it is
-    built from the OLS residual scale: sigma_min = sigma / K,
-    sigma_max = K * sigma.
+    sup-norm of the whitened covariate rows.
 
-    Returns (selected FitResult, selected index, diagnostics dict).
+    Returns (selected FitResult, selected index, diagnostics dict); the
+    diagnostics carry every grid point's coefficients under ``betas``.
     """
     design, y, n = data.design, data.y, data.n
     p = data.p
@@ -257,17 +244,14 @@ def lepski_select(
     inv_root = (vecs / np.sqrt(evals)) @ vecs.T
     l_tilde = float(np.max(np.abs(design @ inv_root)))
 
-    if t is None:
-        t = grid.t if grid is not None else math.log(n)
-    if grid is None:
-        ols = fit_ols(data)
-        rss = float(np.sum((y - design @ ols.beta) ** 2))
-        sigma_hat = math.sqrt(rss / (n - p))
-        grid = LepskiGrid(sigma_hat / K, K * sigma_hat, t=t, a=a)
+    t = math.log(n)
+    ols = fit_ols(data)
+    rss = float(np.sum((y - design @ ols.beta) ** 2))
+    sigma_hat = math.sqrt(rss / (n - p))
 
-    sigmas = np.asarray(grid.grid)
+    sigmas = np.asarray(LepskiGrid(sigma_hat / K, K * sigma_hat, a).grid)
     taus = sigmas * math.sqrt(n / t)
-    fits = [fit_huber(data, tau, cfg) for tau in taus]
+    fits = [fit_huber(data, tau) for tau in taus]
 
     m = len(fits)
     distances = np.zeros((m, m))
@@ -283,6 +267,7 @@ def lepski_select(
         "taus": tuple(float(v) for v in taus),
         "thresholds": tuple(float(v) for v in thresholds),
         "distances": distances,
+        "betas": tuple(fit.beta for fit in fits),
         "l_tilde": l_tilde,
         "t": float(t),
         "fallback": fallback,

@@ -15,6 +15,7 @@ from adahuber.core import (
     predict,
     soft_threshold,
     truncate_matrix,
+    _weight,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -114,6 +115,18 @@ def test_weight_conventions():
     # ratio tau/|r|, cross-checked against psi(r)/r
     assert irls_weight(4.0, 2.0) == pytest.approx(huber_score(4.0, 2.0) / 4.0)
     assert irls_weight(4.0, 2.0) == 0.5
+
+
+def test_weight_kernel_equals_the_two_branch_form_bitwise():
+    rng = np.random.default_rng(4)
+    for tau in (1e-3, 0.7, 1.0, 2.5, 1e4):
+        r = np.concatenate([[0.0, -0.0, tau, -tau, 1e300, -1e300,
+                             np.nextafter(tau, 0.0), np.nextafter(tau, np.inf)],
+                            tau * rng.standard_cauchy(1000)])
+        a = np.abs(r)
+        branches = np.where(a <= tau, 1.0, tau / np.where(a > tau, a, 1.0))
+        assert _weight(r, tau).tobytes() == branches.tobytes()
+        assert irls_weight(r, tau).tobytes() == branches.tobytes()
 
 
 @given(r=finite, tau=small_tau)

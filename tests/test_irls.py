@@ -164,10 +164,6 @@ def test_solver_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(gamma_u=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(phi0=-1e-3)
 
 
 def test_huber_gradient_small_at_solution(rng):

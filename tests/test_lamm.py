@@ -13,7 +13,14 @@ from adahuber.core import (
     soft_threshold,
 )
 from adahuber.irls import SolverConfig, fit_huber
-from adahuber.lamm import fit_l1_huber, kkt_satisfied, lamm_step, majorization_holds
+from adahuber.lamm import (
+    GAMMA_U,
+    PHI0,
+    fit_l1_huber,
+    kkt_satisfied,
+    lamm_step,
+    majorization_holds,
+)
 
 TIGHT = SolverConfig(tol=1e-8, max_iter=50_000)
 
@@ -161,10 +168,10 @@ def test_kkt_at_solution(rng):
 def test_inner_inflation_bounded(rng):
     for _ in range(5):
         data, _ = random_instance(rng, 40, 6)
-        cfg = SolverConfig(tol=1e-6, max_iter=20_000, phi0=1e-4, gamma_u=2.0)
+        cfg = SolverConfig(tol=1e-6, max_iter=20_000)
         fit = fit_l1_huber(data, HuberParams(tau=1.0, lam=0.1), cfg)
         lmax = power_iteration_lmax(data.design.T @ data.design / data.n)
-        bound = math.ceil(math.log(lmax / cfg.phi0, cfg.gamma_u)) + 2
+        bound = math.ceil(math.log(lmax / PHI0, GAMMA_U)) + 2
         assert fit.max_inner <= bound
 
 
@@ -271,12 +278,12 @@ def test_float_floor_stops_early(rng):
 def test_first_iteration_is_public_step(rng, intercept):
     x = rng.standard_normal((40, 6))
     data = Dataset(x, x[:, 0] * 2.0 + rng.standard_t(2.0, 40) + 3.0, intercept)
-    cfg = SolverConfig(max_iter=1, phi0=1e-3)
+    cfg = SolverConfig(max_iter=1)
     tau, lam, zero = 1.0, 0.05, np.zeros(data.p)
-    phi = cfg.phi0
+    phi = PHI0
     while not majorization_holds(lamm_step(zero, data, tau, lam, phi), zero,
                                  data, tau, phi):
-        phi *= cfg.gamma_u
+        phi *= GAMMA_U
     expected = lamm_step(zero, data, tau, lam, phi)
     fit = fit_l1_huber(data, HuberParams(tau=tau, lam=lam), cfg)
     assert fit.beta.tobytes() == expected.tobytes()  # bit for bit

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from adahuber.core import Dataset, DegenerateSampleError, RankDeficientError
+from adahuber.irls import fit_huber
 from adahuber.lamm import fit_l1_huber
 from adahuber.core import HuberParams
 from adahuber.tuning import (
@@ -152,14 +153,12 @@ def test_tuning_grid_validation():
         TuningGrid((), (1.0,))
     with pytest.raises(ValueError):
         TuningGrid((1.0,), (1.0,), folds=1)
-    with pytest.raises(ValueError):
-        TuningGrid((1.0,), (1.0,), t=0.0)
 
 
 # --------------------------------------------------------------------- lepski
 
 def test_lepski_grid_contents():
-    grid = LepskiGrid(1.0, 5.0, t=2.0, a=1.5)
+    grid = LepskiGrid(1.0, 5.0, a=1.5)
     sigmas = np.asarray(grid.grid)
     assert sigmas[0] == 1.0
     assert np.all(sigmas < 1.5 * 5.0)
@@ -168,19 +167,17 @@ def test_lepski_grid_contents():
 
 def test_lepski_grid_validation():
     with pytest.raises(ValueError):
-        LepskiGrid(2.0, 1.0, t=1.0)
+        LepskiGrid(2.0, 1.0)
     with pytest.raises(ValueError):
-        LepskiGrid(1.0, 2.0, t=1.0, a=1.0)
-    with pytest.raises(ValueError):
-        LepskiGrid(1.0, 2.0, t=0.0)
+        LepskiGrid(1.0, 2.0, a=1.0)
 
 
 def test_lepski_singleton_grid(rng):
     x = rng.standard_normal((100, 3))
     y = x @ np.array([1.0, 2.0, -1.0]) + rng.standard_normal(100)
     data = Dataset(x, y)
-    fit, j_hat, diag = lepski_select(data, grid=LepskiGrid(1.0, 1.0, t=math.log(100)))
-    assert j_hat == 0
+    fit, j_hat, diag = lepski_select(data, K=1.0)
+    assert len(diag["sigmas"]) == 1 and j_hat == 0
     assert not diag["fallback"]
 
 
@@ -188,8 +185,8 @@ def test_lepski_noiseless_selects_first(rng):
     x = rng.standard_normal((80, 4))
     beta = np.array([1.0, -1.0, 2.0, 0.5])
     data = Dataset(x, x @ beta)
-    fit, j_hat, diag = lepski_select(data, grid=LepskiGrid(0.5, 4.0, t=math.log(80)))
-    assert j_hat == 0
+    fit, j_hat, diag = lepski_select(data)
+    assert j_hat == 0 and not diag["fallback"]
     assert np.allclose(fit.beta, beta, atol=1e-6)
 
 
@@ -221,6 +218,25 @@ def test_lepski_collinear_overdetermined_design(rng):
     data = Dataset(x, x[:, 0] + rng.standard_normal(50))
     with pytest.raises(RankDeficientError, match="numerically singular"):
         lepski_select(data)
+
+
+def test_lepski_select_rejects_a_bad_grid(rng):
+    x = rng.standard_normal((60, 2))
+    data = Dataset(x, x @ np.array([1.0, -1.0]) + rng.standard_normal(60))
+    with pytest.raises(ValueError):
+        lepski_select(data, K=0.5)
+    with pytest.raises(ValueError):
+        lepski_select(data, a=1.0)
+
+
+def test_lepski_betas_are_the_grid_fits(rng):
+    x = rng.standard_normal((120, 3))
+    data = Dataset(x, x @ np.array([1.0, 0.0, -2.0]) + rng.standard_t(2.0, 120),
+                   intercept=True)
+    _, _, diag = lepski_select(data)
+    assert len(diag["betas"]) == len(diag["taus"]) > 1
+    for beta, tau in zip(diag["betas"], diag["taus"]):
+        assert beta.tobytes() == fit_huber(data, tau).beta.tobytes()
 
 
 def test_lepski_defaults_from_data(rng):
