@@ -15,14 +15,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import Dataset, HuberParams, predict
-from .irls import SolverConfig, fit_huber
+from .core import LIBRARY_ERRORS, Dataset, HuberParams, predict
+from .irls import IRLS_DEFAULTS, LAMM_DEFAULTS, SolverConfig, fit_huber
 from .lamm import fit_l1_huber
 from .simlab import (
     GENERATOR_ID,
+    ExperimentReport,
     kurtosis,
     mae,
-    resolve_threads,
     run_lepski_study,
     run_moment_checks,
     run_neff_experiment,
@@ -62,27 +62,17 @@ def _ints(text: str):
     return tuple(int(v) for v in text.split(",") if v.strip())
 
 
-# experiment -> (simlab runner, the flags it takes, output columns); table1's
-# runner returns an ExperimentReport, which carries its own columns
+# experiment -> simlab runner; its parameters are the flags it takes, and
+# the keys of its rows (table1: of its report) are the output columns
 _EXPERIMENTS = {
-    "table1": (run_table1, ("reps", "n", "d"), None),
-    "phase": (run_phase_transition, ("df_grid", "n", "d", "reps", "high_dim"),
-              ("df", "delta", "n", "d", "mean_neg_log_error", "mean_l2_error",
-               "std_l2_error", "failed")),
-    "neff": (run_neff_experiment, ("d_grid", "n_grid", "reps"),
-             ("d", "n", "n_eff", "mean_l2_error", "std_l2_error", "failed")),
-    "moments": (run_moment_checks, ("n",),
-                ("tau", "bias_l2", "stderr_l2", "converged", "kappa", "n_mc",
-                 "mean_psi", "se_psi", "mean_psi_sq", "se_psi_sq", "sigma_sq",
-                 "se_sigma_sq", "abs_moment_2k", "se_abs_moment_2k",
-                 "first_moment_bound", "first_moment_ok", "second_lower_bound",
-                 "second_lower_ok", "second_upper_ok")),
-    "lepski": (run_lepski_study, ("n", "d", "reps"),
-               ("noise", "replication", "selected_index", "selected_error",
-                "best_fixed_error", "fallback")),
+    "table1": run_table1,
+    "phase": run_phase_transition,
+    "neff": run_neff_experiment,
+    "moments": run_moment_checks,
+    "lepski": run_lepski_study,
 }
-_EXPERIMENT_FLAGS = sorted({f for _, flags, _ in _EXPERIMENTS.values()
-                            for f in flags})
+# parsed simulate values that are not runner arguments
+_OUTPUT_FLAGS = ("command", "experiment", "out", "format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,24 +93,25 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
         p.add_argument("--seed", type=int, default=0)
 
-    def add_solver(p):
+    def add_solver(p, penalized):
         p.add_argument("--tau", type=float, default=None)
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
+        if penalized:
+            p.add_argument("--lambda", dest="lam", type=float, default=None)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--max-iter", type=int, default=None)
 
     p_fit = sub.add_parser("fit", help="unpenalized adaptive Huber regression")
     add_io(p_fit)
-    add_solver(p_fit)
+    add_solver(p_fit, penalized=False)
 
     p_l1 = sub.add_parser("fit-l1", help="l1-regularized adaptive Huber regression")
     add_io(p_l1)
-    add_solver(p_l1)
+    add_solver(p_l1, penalized=True)
 
     p_tr = sub.add_parser("fit-truncated",
                           help="l1 fit with clamped covariates")
     add_io(p_tr)
-    add_solver(p_tr)
+    add_solver(p_tr, penalized=True)
     p_tr.add_argument("--varpi", type=float, default=None,
                       help="covariate clamp level")
     p_tr.add_argument("--s-guess", type=int, default=None,
@@ -137,8 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--lepski-K", type=float, default=3.0)
     p_tune.add_argument("--lepski-a", type=float, default=1.5)
 
-    # flags other than seed, threads, out and format default to None so that
-    # only the ones given reach the runner, whose defaults apply otherwise
+    # the runner flags other than --seed default to None so that only the
+    # ones given reach the runner, whose defaults apply otherwise
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")
     p_sim.add_argument("--experiment", choices=tuple(_EXPERIMENTS),
                        required=True)
@@ -170,10 +161,10 @@ def _load(args) -> Dataset:
     return dataclasses.replace(data, intercept=True) if args.intercept else data
 
 
-def _solver_config(args) -> SolverConfig | None:
+def _solver_config(args, base: SolverConfig) -> SolverConfig:
     given = {"tol": args.tol, "max_iter": args.max_iter}
-    given = {k: v for k, v in given.items() if v is not None}
-    return SolverConfig(**given) if given else None
+    return dataclasses.replace(
+        base, **{k: v for k, v in given.items() if v is not None})
 
 
 def _coef_records(data: Dataset, beta) -> list:
@@ -208,7 +199,7 @@ def _emit_fit(args, data: Dataset, fit, params: HuberParams,
 
 def cmd_fit(args) -> int:
     data = _load(args)
-    cfg = _solver_config(args)
+    cfg = _solver_config(args, IRLS_DEFAULTS)
     tuned = args.tau is None
     if tuned:
         sigma = estimate_sigma_crude(data.y)
@@ -222,7 +213,7 @@ def cmd_fit(args) -> int:
 
 def cmd_fit_l1(args) -> int:
     data = _load(args)
-    cfg = _solver_config(args)
+    cfg = _solver_config(args, LAMM_DEFAULTS)
     tuned = args.tau is None or args.lam is None
     sigma = estimate_sigma_crude(data.y) if tuned else None
     n_eff = effective_sample_size(data.n, data.d, high_dim=True)
@@ -239,7 +230,7 @@ def cmd_fit_l1(args) -> int:
 
 def cmd_fit_truncated(args) -> int:
     data = _load(args)
-    cfg = _solver_config(args)
+    cfg = _solver_config(args, LAMM_DEFAULTS)
     tuned = args.tau is None or args.lam is None or args.varpi is None
     # the scaling rules divide by log d; clamp univariate designs to d = 2
     defaults = (default_truncation_params(data.n, max(data.d, 2), args.s_guess)
@@ -295,23 +286,28 @@ def cmd_tune(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    runner, takes, columns = _EXPERIMENTS[args.experiment]
-    given = {k: getattr(args, k) for k in _EXPERIMENT_FLAGS
-             if getattr(args, k) is not None}
-    unused = [f"--{k.replace('_', '-')}" for k in given if k not in takes]
+    runner = _EXPERIMENTS[args.experiment]
+    signature = inspect.signature(runner)
+    given = {k: v for k, v in vars(args).items()
+             if v is not None and k not in _OUTPUT_FLAGS}
+    unused = [f"--{k.replace('_', '-')}" for k in given
+              if k not in signature.parameters]
     if unused:
         raise ValueError(f"--experiment {args.experiment} does not take "
                          + ", ".join(unused))
-    kwargs = dict(given, seed=args.seed, threads=resolve_threads(args.threads))
-    result = runner(**kwargs)
-    if columns is None:
+    result = runner(**given)
+    if isinstance(result, ExperimentReport):
         dataio.write_report(result, args.out, fmt=args.format)
-        return EXIT_OK
-    dataio.write_records(result, columns, args.out, fmt=args.format)
-    resolved = inspect.signature(runner).bind(**kwargs)
-    resolved.apply_defaults()
-    dataio.write_meta({"experiment": args.experiment, "generator": GENERATOR_ID,
-                       "version": __version__, **resolved.arguments}, args.out)
+    else:
+        dataio.write_records(result, list(result[0]), args.out, fmt=args.format)
+    # the sidecar echoes every runner argument, defaults included, except the
+    # worker count, so that runs differing only in threads match byte for byte
+    bound = signature.bind(**given)
+    bound.apply_defaults()
+    meta = dict(bound.arguments, experiment=args.experiment,
+                generator=GENERATOR_ID, version=__version__)
+    del meta["threads"]
+    dataio.write_meta(meta, args.out)
     return EXIT_OK
 
 
@@ -321,32 +317,23 @@ T5_KURTOSIS = 9.0
 
 
 def cmd_diagnose(args) -> int:
-    header_response = args.response or ""
-    # reuse the CSV loader by treating the first column as the response when
-    # none is named, then diagnose every column uniformly
-    with open(args.input, encoding="utf-8") as fh:
-        first = fh.readline()
-    columns = [c.strip() for c in first.split(args.delimiter) if c.strip()]
-    if not columns:
-        raise dataio.CsvFormatError(f"{args.input}: empty header")
-    response = header_response or columns[0]
-    data = dataio.load_csv(args.input, response, args.delimiter)
-    names = [response] + data.column_names
-    series = [data.y] + [data.x[:, j] for j in range(data.d)]
+    header, table = dataio.read_table(args.input, args.delimiter)
+    order = list(range(len(header)))
+    if args.response:
+        order.insert(0, order.pop(
+            dataio.column_index(args.input, header, args.response)))
 
     records = []
-    for name, values in zip(names, series):
+    for j in order:
         try:
-            k = kurtosis(values)
-            records.append({
-                "column": name, "kurtosis": k, "degenerate": False,
-                "heavy": k > 3.0, "severe": k > T5_KURTOSIS,
-            })
-        except (ValueError, RuntimeError):
-            records.append({
-                "column": name, "kurtosis": "", "degenerate": True,
-                "heavy": False, "severe": False,
-            })
+            k = kurtosis(table[:, j])
+            records.append({"column": header[j], "kurtosis": k,
+                            "degenerate": False, "heavy": k > 3.0,
+                            "severe": k > T5_KURTOSIS})
+        except LIBRARY_ERRORS:
+            records.append({"column": header[j], "kurtosis": "",
+                            "degenerate": True, "heavy": False,
+                            "severe": False})
     out = args.out if args.out else sys.stdout
     dataio.write_records(
         records, ("column", "kurtosis", "degenerate", "heavy", "severe"),
@@ -369,9 +356,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except SystemExit:
-        raise
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (*LIBRARY_ERRORS, OSError) as exc:
         print(f"adahuber: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -26,6 +26,11 @@ class NumericalFailureError(RuntimeError):
     """An iterative scheme lost numerical viability."""
 
 
+# the library's error families; every typed solver, sampling, tuning and
+# input failure derives from one of them (numpy's LinAlgError from ValueError)
+LIBRARY_ERRORS = (ValueError, RuntimeError)
+
+
 def _check_tau(tau):
     tau = float(tau)
     if not np.isfinite(tau) or tau <= 0:

@@ -32,12 +32,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def load_csv(path: str, response_column: str, delimiter: str = ",") -> Dataset:
-    """Read a headed CSV into a Dataset.
+def read_table(path: str, delimiter: str = ","):
+    """Read a headed CSV of reals into (header, n-by-k float matrix).
 
-    The named column becomes the response; every remaining column becomes a
-    covariate, in file order.  Any cell that does not parse as a decimal real
-    aborts the load with its row number and column name.
+    Header names are stripped of surrounding blanks.  A ragged row, a cell
+    that does not parse as a decimal real, or a non-finite cell aborts the
+    read with its row number (the header is row 1) and column name.
     """
     if len(delimiter) != 1:
         raise CsvFormatError(f"delimiter must be a single character, got {delimiter!r}")
@@ -46,40 +46,61 @@ def load_csv(path: str, response_column: str, delimiter: str = ",") -> Dataset:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise CsvFormatError(f"{path}: empty file, header row required") from None
-        header = [h.strip() for h in header]
-        if response_column not in header:
-            raise CsvFormatError(
-                f"{path}: response column {response_column!r} not found; "
-                f"available columns: {', '.join(header)}"
-            )
-        y_idx = header.index(response_column)
-        x_names = [h for i, h in enumerate(header) if i != y_idx]
-        if not x_names:
-            raise CsvFormatError(f"{path}: no covariate columns besides the response")
-
-        ys, xs = [], []
+        rows = []
         for rownum, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise CsvFormatError(
                     f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}"
                 )
-            parsed = []
-            for col, cell in zip(header, row):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise CsvFormatError(
-                        f"{path}: row {rownum}, column {col!r}: "
-                        f"cannot parse {cell.strip()!r} as a real number"
-                    ) from None
-            ys.append(parsed[y_idx])
-            xs.append([v for i, v in enumerate(parsed) if i != y_idx])
-    if not ys:
+            try:
+                rows.append(list(map(float, row)))
+            except ValueError:
+                for col, cell in zip(header, row):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise CsvFormatError(
+                            f"{path}: row {rownum}, column {col!r}: "
+                            f"cannot parse {cell.strip()!r} as a real number"
+                        ) from None
+    if not rows:
         raise CsvFormatError(f"{path}: no data rows")
-    return Dataset(np.asarray(xs), np.asarray(ys), column_names=x_names)
+    matrix = np.array(rows)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        i, j = bad[0]
+        raise CsvFormatError(
+            f"{path}: row {i + 2}, column {header[j]!r}: "
+            f"{float(matrix[i, j])} is not a finite real number"
+        )
+    return header, matrix
+
+
+def column_index(path: str, header: list, name: str) -> int:
+    """Position of the column ``name`` in a ``read_table`` header."""
+    if name not in header:
+        raise CsvFormatError(
+            f"{path}: response column {name!r} not found; "
+            f"available columns: {', '.join(header)}"
+        )
+    return header.index(name)
+
+
+def load_csv(path: str, response_column: str, delimiter: str = ",") -> Dataset:
+    """Read a headed CSV (``read_table``) into a Dataset.
+
+    The named column becomes the response; every remaining column becomes a
+    covariate, in file order.
+    """
+    header, matrix = read_table(path, delimiter)
+    y_idx = column_index(path, header, response_column)
+    if len(header) == 1:
+        raise CsvFormatError(f"{path}: no covariate columns besides the response")
+    return Dataset(np.delete(matrix, y_idx, axis=1), matrix[:, y_idx].copy(),
+                   column_names=header[:y_idx] + header[y_idx + 1:])
 
 
 def save_csv(data: Dataset, path: str) -> None:
@@ -118,17 +139,9 @@ def write_records(records, columns, out, fmt: str = "csv") -> None:
             out.close()
 
 
-# metadata keys that vary run to run without affecting results
-_VOLATILE_KEYS = ("threads",)
-
-
 def write_meta(meta: dict, out_path: str) -> None:
-    """Write the JSON sidecar ``<out_path>.meta.json`` of an experiment output.
-
-    The worker count is dropped so two runs with the same seed produce
-    byte-identical files.
-    """
-    meta = {k: v for k, v in meta.items() if k not in _VOLATILE_KEYS}
+    """Write the JSON sidecar ``<out_path>.meta.json`` of an experiment
+    output, keys sorted."""
     with open(str(out_path) + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -136,11 +149,9 @@ def write_meta(meta: dict, out_path: str) -> None:
 
 def write_report(report, out_path: str, fmt: str = "csv") -> None:
     """Persist an ExperimentReport: one row per replication per estimator
-    plus a summary block, and its metadata sidecar (``write_meta``)."""
-    data_cols = sorted({k for row in report.rows for k in row})
-    summary_cols = sorted({k for row in report.summary for k in row})
+    plus a summary block."""
     records = [dict(kind="data", **row) for row in report.rows]
     records += [dict(kind="summary", **row) for row in report.summary]
-    columns = ["kind"] + sorted(set(data_cols) | set(summary_cols))
+    columns = ["kind"] + sorted({k for row in report.rows + report.summary
+                                 for k in row})
     write_records(records, columns, out_path, fmt=fmt)
-    write_meta(report.metadata, out_path)

@@ -116,15 +116,18 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
     Each sweep forms the residuals once; they give the recorded loss, the
     gradient and the next sweep's weights.
     """
-    cfg = cfg or IRLS_DEFAULTS
     tau = _check_tau(tau)
-    design, y, n = data.design, data.y, data.n
-
     try:
         beta = fit_ols(data).beta
     except RankDeficientError:
         beta = np.zeros(data.p)
+    return _irls(data, tau, cfg or IRLS_DEFAULTS, beta)
 
+
+def _irls(data: Dataset, tau: float, cfg: SolverConfig,
+          beta: np.ndarray) -> FitResult:
+    """The ``fit_huber`` sweeps from the start ``beta`` at a checked tau."""
+    design, y, n = data.design, data.y, data.n
     grad_tol = 1e-6 * (1.0 + float(np.linalg.norm(y)))
     resid = y - design @ beta
     loss, psi = _hloss_score(resid, tau)

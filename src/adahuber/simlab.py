@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
-from .core import Dataset, DegenerateSampleError, HuberParams, _score
+from .core import LIBRARY_ERRORS, Dataset, DegenerateSampleError, HuberParams, _score
 from .irls import SolverConfig, fit_huber, fit_ols
 from .lamm import fit_l1_huber
 from .tuning import (
@@ -27,10 +26,6 @@ from .tuning import (
 )
 
 GENERATOR_ID = "numpy.default_rng/PCG64"
-
-# the library's error families; every typed solver, sampling and tuning
-# failure derives from one of them (numpy's LinAlgError from ValueError)
-_LIBRARY_ERRORS = (ValueError, RuntimeError)
 
 _NOISE_FAMILIES = ("normal", "student_t", "lognormal")
 
@@ -113,12 +108,10 @@ class ExperimentSpec:
 
 @dataclass
 class ExperimentReport:
-    """Per-replication records, a summary block, and deterministic run
-    metadata."""
+    """Per-replication records and a summary block."""
 
     rows: list = field(default_factory=list)
     summary: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
 
 def default_beta_star(d: int) -> np.ndarray:
@@ -158,6 +151,9 @@ def resolve_threads(threads: int | None = None) -> int:
 
 
 def _map_ordered(fn, count: int, threads: int | None):
+    # every experiment maps its replications through here
+    if count < 1:
+        raise ValueError("an experiment needs reps >= 1 and nonempty grids")
     workers = resolve_threads(threads)
     if workers == 1 or count <= 1:
         return [fn(i) for i in range(count)]
@@ -238,7 +234,7 @@ def run_table1(
         try:
             ols = fit_ols(data)
             err = float(np.linalg.norm(ols.beta - target))
-        except _LIBRARY_ERRORS:
+        except LIBRARY_ERRORS:
             err = math.nan
         out.append(
             {"noise": noise.label(), "replication": rep, "estimator": "ols",
@@ -250,7 +246,7 @@ def run_table1(
                 seed=(seed % 2**64, noise_i, rep, 1)
             )
             err = float(np.linalg.norm(fit.beta - target))
-        except _LIBRARY_ERRORS:
+        except LIBRARY_ERRORS:
             err = math.nan
         out.append(
             {"noise": noise.label(), "replication": rep, "estimator": "ahuber",
@@ -274,15 +270,7 @@ def run_table1(
                 {"noise": noise.label(), "estimator": estimator,
                  "mean_l2_error": mean, "std_l2_error": std, "failed": failed}
             )
-    metadata = {
-        "experiment": "table1",
-        "spec": {"n": n, "d": d, "reps": reps, "seed": seed,
-                 "intercept": True,
-                 "noises": [s.label() for s in TABLE1_NOISES]},
-        "generator": GENERATOR_ID,
-        "version": __version__,
-    }
-    return ExperimentReport(rows=rows, summary=summary, metadata=metadata)
+    return ExperimentReport(rows=rows, summary=summary)
 
 
 # a loose solver suffices for the pilot l1 fit, whose residuals only feed a
@@ -349,7 +337,7 @@ def _run_cells(cells, reps: int, seed: int, high_dim: bool, c_tau: float,
             else:
                 fit = fit_huber(data, tau)
             return float(np.linalg.norm(fit.beta - beta))
-        except _LIBRARY_ERRORS:
+        except LIBRARY_ERRORS:
             return math.nan
 
     errors = _map_ordered(one, len(cells) * reps, threads)
@@ -534,13 +522,13 @@ def _moment_report(eps: np.ndarray, tau: float, kappa: float) -> dict:
         "se_abs_moment_2k": se_high,
         "first_moment_bound": float(first_bound),
         "first_moment_ok": bool(first_ok),
-        "second_upper_ok": bool(mean_psi2 <= sigma2 + 3.0 * (se_psi2 + se_sigma2)),
     }
     if kappa > 0:
         lower = sigma2 - (2.0 / kappa) * tau ** (-kappa) * high
         slack = 3.0 * (se_psi2 + se_sigma2 + (2.0 / kappa) * tau ** (-kappa) * se_high)
         report["second_lower_bound"] = float(lower)
         report["second_lower_ok"] = bool(mean_psi2 >= lower - slack)
+    report["second_upper_ok"] = bool(mean_psi2 <= sigma2 + 3.0 * (se_psi2 + se_sigma2))
     return report
 
 

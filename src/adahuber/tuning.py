@@ -11,13 +11,14 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
+    LIBRARY_ERRORS,
     Dataset,
     DegenerateSampleError,
     HuberParams,
     RankDeficientError,
     predict,
 )
-from .irls import _check_rank, fit_huber, fit_ols
+from .irls import IRLS_DEFAULTS, _check_rank, _irls, fit_huber, fit_ols
 from .lamm import fit_l1_huber
 
 
@@ -152,7 +153,7 @@ def cross_validate(
             for k in range(grid.folds):
                 try:
                     maes.append(fold_mae(c_tau, c_lambda, k))
-                except (RankDeficientError, ValueError, RuntimeError):
+                except LIBRARY_ERRORS:
                     failed = True
                     break
             table.append(
@@ -251,7 +252,8 @@ def lepski_select(data: Dataset, K: float = 3.0, a: float = 1.5):
 
     sigmas = np.asarray(LepskiGrid(sigma_hat / K, K * sigma_hat, a).grid)
     taus = sigmas * math.sqrt(n / t)
-    fits = [fit_huber(data, tau) for tau in taus]
+    # every grid fit starts from the one OLS fit above
+    fits = [_irls(data, float(tau), IRLS_DEFAULTS, ols.beta) for tau in taus]
 
     m = len(fits)
     distances = np.zeros((m, m))

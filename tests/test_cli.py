@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from adahuber import cli
 from adahuber.cli import build_parser, main
 from adahuber.core import Dataset
 from adahuber.dataio import CsvFormatError, load_csv, save_csv
@@ -47,6 +49,16 @@ def test_load_csv_bad_cell_cites_location(tmp_path):
     path.write_text("y,x1\n1,2\nabc,4\n")
     with pytest.raises(CsvFormatError, match="row 3.*'y'"):
         load_csv(str(path), "y")
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_nonfinite_cell_cites_location(tmp_path, cell, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text(f"y,x1\n1,2\n3,{cell}\n5,6\n")
+    with pytest.raises(CsvFormatError, match="row 3, column 'x1'"):
+        load_csv(str(path), "y")
+    assert main(["diagnose", "--input", str(path)]) == 1
+    assert "row 3, column 'x1'" in capsys.readouterr().err
 
 
 def test_load_csv_missing_file(tmp_path):
@@ -106,6 +118,29 @@ def test_fit_max_iter_gives_exit_two(tmp_path):
                  "--tau", "0.4", "--max-iter", "1", "--tol", "1e-14",
                  "--out", str(tmp_path / "o.csv")])
     assert code == 2
+
+
+def test_fit_solver_override_keeps_the_irls_defaults(tmp_path):
+    # --max-iter 500 is the IRLS default, so the tolerance must stay 1e-8
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((200, 3))
+    y = x @ np.array([1.0, -1.0, 2.0]) + rng.standard_t(1.5, 200)
+    path = tmp_path / "d.csv"
+    save_csv(Dataset(x, y), str(path))
+    outputs = []
+    for extra in ([], ["--max-iter", "500"]):
+        out = tmp_path / f"fit{len(extra)}.csv"
+        assert main(["fit", "--input", str(path), "--response", "y",
+                     "--tau", "0.5", "--out", str(out)] + extra) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_fit_takes_no_lambda(toy_csv):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--input", str(toy_csv), "--response", "y",
+              "--lambda", "5"])
+    assert exc.value.code == 1
 
 
 def test_fit_l1_and_truncated_paths(toy_csv, tmp_path):
@@ -209,6 +244,41 @@ def test_simulate_deterministic_across_threads(tmp_path, experiment, extra):
     assert outputs[0] == outputs[1]
 
 
+def test_simulate_flags_are_runner_parameters():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest for a in sub.choices["simulate"]._actions} - {
+        "help", "experiment", "out", "format"}
+    taken = {name for runner in cli._EXPERIMENTS.values()
+             for name in inspect.signature(runner).parameters}
+    assert flags and flags <= taken
+
+
+@pytest.mark.parametrize("experiment,extra", SIMULATE_CASES)
+def test_simulate_sidecar_identifies_the_run(tmp_path, experiment, extra):
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--experiment", experiment, "--seed", "11",
+                 "--threads", "2", "--out", str(out)] + extra) == 0
+    meta = json.loads((tmp_path / "o.csv.meta.json").read_text())
+    assert meta["experiment"] == experiment and meta["seed"] == 11
+    assert meta["generator"] and meta["version"] == cli.__version__
+    assert "threads" not in meta
+
+
+@pytest.mark.parametrize("experiment,extra", [
+    ("lepski", ["--reps", "-2"]),
+    ("phase", ["--reps", "0"]),
+    ("neff", ["--d-grid", ""]),
+])
+def test_simulate_rejects_empty_experiments(tmp_path, experiment, extra,
+                                            capsys):
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--experiment", experiment, "--threads", "1",
+                 "--out", str(out)] + extra) == 1
+    assert "reps >= 1 and nonempty grids" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_table1_row_count(tmp_path):
     out = tmp_path / "t1.csv"
     main(["simulate", "--experiment", "table1", "--reps", "2", "--n", "50",
@@ -217,7 +287,8 @@ def test_simulate_table1_row_count(tmp_path):
     data_rows = [l for l in lines if l.startswith("data")]
     assert len(data_rows) == 2 * 2 * 3
     meta = json.loads((tmp_path / "t1.csv.meta.json").read_text())
-    assert meta["spec"]["seed"] == 3
+    assert meta["seed"] == 3
+    assert meta["experiment"] == "table1"
     assert "wall_time_s" not in meta
 
 
@@ -288,6 +359,31 @@ def test_diagnose_flags(tmp_path):
     assert recs["gauss"]["heavy"] is False
     assert recs["t5"]["heavy"] is True
     assert recs["flat"]["degenerate"] is True
+
+
+@pytest.mark.parametrize("text,columns", [
+    ('"g","h"\n1,5\n2,4\n3,9\n7,1\n8,2\n', ["g", "h"]),
+    ("only\n1\n2\n3\n9\n", ["only"]),
+])
+def test_diagnose_reads_any_headed_csv(tmp_path, text, columns):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    out = tmp_path / "diag.jsonl"
+    assert main(["diagnose", "--input", str(path), "--out", str(out),
+                 "--format", "jsonl"]) == 0
+    recs = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [r["column"] for r in recs] == columns
+    assert not any(r["degenerate"] for r in recs)
+
+
+def test_diagnose_puts_the_response_first(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b,c\n1,5,0\n2,4,1\n3,9,0\n7,1,1\n")
+    out = tmp_path / "diag.csv"
+    assert main(["diagnose", "--input", str(path), "--response", "b",
+                 "--out", str(out)]) == 0
+    column = [line.split(",")[0] for line in out.read_text().splitlines()]
+    assert column == ["column", "b", "a", "c"]
 
 
 # ------------------------------------------------------------------ packaging

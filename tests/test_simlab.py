@@ -14,6 +14,7 @@ from adahuber.simlab import (
     gen_linear_data,
     kurtosis,
     mae,
+    run_lepski_study,
     run_moment_checks,
     run_neff_experiment,
     run_phase_transition,
@@ -111,7 +112,6 @@ def test_table1_smoke_shape():
     assert len(report.summary) == 6
     noises = {r["noise"] for r in report.rows}
     assert noises == {"normal(4)", "student_t(1.5)", "lognormal(4)"}
-    assert report.metadata["experiment"] == "table1"
 
 
 def test_table1_thread_count_invariance():
@@ -138,6 +138,21 @@ def test_phase_rows_and_delta_mapping():
     assert rows[1]["delta"] == pytest.approx(1.95)
     with pytest.raises(ValueError):
         run_phase_transition([1.0], n=50, d=2, reps=1, seed=0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_table1(reps=0),
+    lambda: run_phase_transition(reps=0),
+    lambda: run_phase_transition(df_grid=()),
+    lambda: run_neff_experiment(reps=-1),
+    lambda: run_neff_experiment(d_grid=()),
+    lambda: run_neff_experiment(n_grid=[]),
+    lambda: run_lepski_study(reps=-2),
+], ids=["table1-reps", "phase-reps", "phase-df", "neff-reps", "neff-d",
+        "neff-n", "lepski-reps"])
+def test_experiments_reject_empty_runs(run):
+    with pytest.raises(ValueError, match="reps >= 1 and nonempty grids"):
+        run()
 
 
 def test_neff_rows_include_effective_sample_size():

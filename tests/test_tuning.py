@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from adahuber import irls, tuning
 from adahuber.core import Dataset, DegenerateSampleError, RankDeficientError
 from adahuber.irls import fit_huber
 from adahuber.lamm import fit_l1_huber
@@ -237,6 +238,21 @@ def test_lepski_betas_are_the_grid_fits(rng):
     assert len(diag["betas"]) == len(diag["taus"]) > 1
     for beta, tau in zip(diag["betas"], diag["taus"]):
         assert beta.tobytes() == fit_huber(data, tau).beta.tobytes()
+
+
+def test_lepski_fits_ols_once(rng, monkeypatch):
+    real, calls = irls.fit_ols, []
+
+    def counted(data):
+        calls.append(data)
+        return real(data)
+
+    monkeypatch.setattr(irls, "fit_ols", counted)
+    monkeypatch.setattr(tuning, "fit_ols", counted)
+    x = rng.standard_normal((150, 3))
+    _, _, diag = lepski_select(Dataset(x, x[:, 0] + rng.standard_t(2.0, 150)))
+    assert len(diag["taus"]) > 1
+    assert len(calls) == 1
 
 
 def test_lepski_defaults_from_data(rng):
