@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import LIBRARY_ERRORS, Dataset, HuberParams, predict
-from .irls import IRLS_DEFAULTS, LAMM_DEFAULTS, SolverConfig, fit_huber
+from .core import LIBRARY_ERRORS, Dataset, HuberParams, predict, truncate_matrix
+from .irls import IRLS_DEFAULTS, LAMM_DEFAULTS, fit_huber
 from .lamm import fit_l1_huber
 from .simlab import (
     GENERATOR_ID,
@@ -29,7 +29,7 @@ from .simlab import (
     run_phase_transition,
     run_table1,
 )
-from .truncated import default_truncation_params, fit_truncated, predict_truncated
+from .truncated import default_truncation_params, fit_truncated
 from .tuning import (
     TuningGrid,
     cross_validate,
@@ -73,6 +73,12 @@ _EXPERIMENTS = {
 }
 # parsed simulate values that are not runner arguments
 _OUTPUT_FLAGS = ("command", "experiment", "out", "format")
+# tune method -> its flags: --grid and --folds set the TuningGrid, the others
+# are keywords of cross_validate or (less "lepski_") of lepski_select
+_TUNE_METHODS = {
+    "cv": ("grid", "folds", "high_dim", "seed"),
+    "lepski": ("lepski_K", "lepski_a"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-        p.add_argument("--seed", type=int, default=0)
 
     def add_solver(p, penalized):
         p.add_argument("--tau", type=float, default=None)
@@ -117,19 +122,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--s-guess", type=int, default=None,
                       help="sparsity guess for the default parameter rules")
 
+    # the method flags default to None so that only the ones given reach the
+    # library, whose defaults apply otherwise
     p_tune = sub.add_parser("tune", help="select tau/lambda from data")
     add_io(p_tune)
-    p_tune.add_argument("--method", choices=("cv", "lepski"), default="cv")
-    p_tune.add_argument("--grid", type=_floats, default=(0.5, 1.0, 1.5),
+    p_tune.add_argument("--method", choices=tuple(_TUNE_METHODS), default="cv")
+    p_tune.add_argument("--grid", type=_floats, default=None,
                         help="comma-separated constants for both c_tau and c_lambda")
-    p_tune.add_argument("--folds", type=int, default=3)
-    p_tune.add_argument("--high-dim", action="store_true",
+    p_tune.add_argument("--folds", type=int, default=None)
+    p_tune.add_argument("--high-dim", action="store_true", default=None,
                         help="tune the l1-penalized estimator")
-    p_tune.add_argument("--lepski-K", type=float, default=3.0)
-    p_tune.add_argument("--lepski-a", type=float, default=1.5)
+    p_tune.add_argument("--seed", type=int, default=None)
+    p_tune.add_argument("--lepski-K", type=float, default=None)
+    p_tune.add_argument("--lepski-a", type=float, default=None)
 
-    # the runner flags other than --seed default to None so that only the
-    # ones given reach the runner, whose defaults apply otherwise
+    # likewise for the runner flags other than --seed
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")
     p_sim.add_argument("--experiment", choices=tuple(_EXPERIMENTS),
                        required=True)
@@ -161,10 +168,22 @@ def _load(args) -> Dataset:
     return dataclasses.replace(data, intercept=True) if args.intercept else data
 
 
-def _solver_config(args, base: SolverConfig) -> SolverConfig:
-    given = {"tol": args.tol, "max_iter": args.max_iter}
+def _given(args, names) -> dict:
+    """The flags among ``names`` that were given (a flag left out is None)."""
+    return {k: v for k, v in vars(args).items() if k in names and v is not None}
+
+
+def _override(base, **given):
+    """``base`` with every given value that is not None put in its place."""
     return dataclasses.replace(
         base, **{k: v for k, v in given.items() if v is not None})
+
+
+def _refuse(what: str, given, takes) -> None:
+    """Reject the given flags (parsed names) that ``what`` does not take."""
+    unused = [f"--{k.replace('_', '-')}" for k in given if k not in takes]
+    if unused:
+        raise ValueError(f"{what} does not take " + ", ".join(unused))
 
 
 def _coef_records(data: Dataset, beta) -> list:
@@ -190,111 +209,91 @@ def _emit_fit(args, data: Dataset, fit, params: HuberParams,
         {"key": "mae_in_sample", "value": in_sample_mae},
         {"key": "n", "value": data.n},
         {"key": "d", "value": data.d},
-        {"key": "seed", "value": args.seed},
         {"key": "version", "value": __version__},
     ]
     out = args.out if args.out else sys.stdout
     dataio.write_records(records, ("key", "value"), out, fmt=args.format)
     return EXIT_OK if fit.converged else EXIT_NOT_CONVERGED
 
+
+def _plug_in(data: Dataset, high_dim: bool) -> HuberParams:
+    """The finite-variance plug-in rule at t = log n."""
+    sigma = estimate_sigma_crude(data.y)
+    n_eff = effective_sample_size(data.n, data.d, high_dim)
+    return default_params(sigma, n_eff, math.log(data.n))
+
+
+# fit subcommand -> (solver, solver defaults, rule for the parameters left out)
+_FITS = {
+    "fit": (lambda data, params, cfg: fit_huber(data, params.tau, cfg),
+            IRLS_DEFAULTS,
+            lambda data, args: HuberParams(_plug_in(data, high_dim=False).tau)),
+    "fit-l1": (fit_l1_huber, LAMM_DEFAULTS,
+               lambda data, args: _plug_in(data, high_dim=True)),
+    "fit-truncated": (fit_truncated, LAMM_DEFAULTS,
+                      lambda data, args: default_truncation_params(
+                          data.n, data.d, args.s_guess)),
+}
+
+
 def cmd_fit(args) -> int:
+    """fit, fit-l1 and fit-truncated: the rule runs only when a parameter
+    the subcommand takes (--tau, --lambda, --varpi) is left out."""
+    solve, base, rule = _FITS[args.command]
     data = _load(args)
-    cfg = _solver_config(args, IRLS_DEFAULTS)
-    tuned = args.tau is None
-    if tuned:
-        sigma = estimate_sigma_crude(data.y)
-        tau = default_params(sigma, data.n, math.log(data.n)).tau
-    else:
-        tau = args.tau
-    fit = fit_huber(data, tau, cfg)
-    score = mae(data.y, predict(fit.beta, data.x, data.intercept))
-    return _emit_fit(args, data, fit, HuberParams(tau=tau), score, tuned)
-
-
-def cmd_fit_l1(args) -> int:
-    data = _load(args)
-    cfg = _solver_config(args, LAMM_DEFAULTS)
-    tuned = args.tau is None or args.lam is None
-    sigma = estimate_sigma_crude(data.y) if tuned else None
-    n_eff = effective_sample_size(data.n, data.d, high_dim=True)
-    defaults = (default_params(sigma, n_eff, math.log(data.n))
-                if tuned else None)
-    params = HuberParams(
-        tau=args.tau if args.tau is not None else defaults.tau,
-        lam=args.lam if args.lam is not None else defaults.lam,
-    )
-    fit = fit_l1_huber(data, params, cfg)
-    score = mae(data.y, predict(fit.beta, data.x, data.intercept))
-    return _emit_fit(args, data, fit, params, score, tuned)
-
-
-def cmd_fit_truncated(args) -> int:
-    data = _load(args)
-    cfg = _solver_config(args, LAMM_DEFAULTS)
-    tuned = args.tau is None or args.lam is None or args.varpi is None
-    # the scaling rules divide by log d; clamp univariate designs to d = 2
-    defaults = (default_truncation_params(data.n, max(data.d, 2), args.s_guess)
-                if tuned else None)
-    params = HuberParams(
-        tau=args.tau if args.tau is not None else defaults.tau,
-        lam=args.lam if args.lam is not None else defaults.lam,
-        varpi=args.varpi if args.varpi is not None else defaults.varpi,
-    )
-    fit = fit_truncated(data, params, cfg)
-    score = mae(data.y,
-                predict_truncated(fit.beta, data.x, params.varpi, data.intercept))
+    cfg = _override(base, tol=args.tol, max_iter=args.max_iter)
+    takes = [k for k in ("tau", "lam", "varpi") if k in vars(args)]
+    given = _given(args, takes)
+    tuned = len(given) < len(takes)
+    if not tuned:
+        _refuse(f"{args.command} with every parameter given",
+                _given(args, ("s_guess",)), ())
+    params = _override(rule(data, args), **given) if tuned else HuberParams(**given)
+    fit = solve(data, params, cfg)
+    # the MAE is taken on the design the solver saw
+    x = data.x if params.varpi is None else truncate_matrix(data.x, params.varpi)
+    score = mae(data.y, predict(fit.beta, x, data.intercept))
     return _emit_fit(args, data, fit, params, score, tuned)
 
 
 def cmd_tune(args) -> int:
     data = _load(args)
-    out = args.out if args.out else sys.stdout
+    given = _given(args, sum(_TUNE_METHODS.values(), ()))
+    _refuse(f"--method {args.method}", given, _TUNE_METHODS[args.method])
     if args.method == "cv":
-        grid = TuningGrid(tuple(args.grid), tuple(args.grid), folds=args.folds)
+        grid = _override(TuningGrid(), c_tau_candidates=args.grid,
+                         c_lambda_candidates=args.grid, folds=args.folds)
         c_tau, c_lambda, fit, table = cross_validate(
-            data, grid, high_dim=args.high_dim, seed=args.seed)
-        forced = len(args.grid) == 1
+            data, grid, **_given(args, ("high_dim", "seed")))
         records = [
             {"cell": i, "c_tau": row["c_tau"], "c_lambda": row["c_lambda"],
              "mean_mae": row["mean_mae"], "failed": row["failed"],
              "selected": (row["c_tau"] == c_tau and row["c_lambda"] == c_lambda),
-             "forced": forced}
+             "forced": len(table) == 1}
             for i, row in enumerate(table)
         ]
-        dataio.write_records(
-            records,
-            ("cell", "c_tau", "c_lambda", "mean_mae", "failed", "selected",
-             "forced"),
-            out, fmt=args.format)
-        return EXIT_OK if fit.converged else EXIT_NOT_CONVERGED
-    fit, j_hat, diag = lepski_select(data, K=args.lepski_K, a=args.lepski_a)
-    m = len(diag["sigmas"])
-    records = [
-        {"j": j, "sigma": diag["sigmas"][j], "tau": diag["taus"][j],
-         "threshold": diag["thresholds"][j],
-         "max_distance_to_later": (float(np.max(diag["distances"][j, j + 1:]))
-                                   if j + 1 < m else 0.0),
-         "selected": j == j_hat, "fallback": diag["fallback"]}
-        for j in range(m)
-    ]
-    dataio.write_records(
-        records,
-        ("j", "sigma", "tau", "threshold", "max_distance_to_later",
-         "selected", "fallback"),
-        out, fmt=args.format)
+    else:
+        fit, j_hat, diag = lepski_select(
+            data, **{k.removeprefix("lepski_"): v for k, v in given.items()})
+        m = len(diag["sigmas"])
+        records = [
+            {"j": j, "sigma": diag["sigmas"][j], "tau": diag["taus"][j],
+             "threshold": diag["thresholds"][j],
+             "max_distance_to_later": (float(np.max(diag["distances"][j, j + 1:]))
+                                       if j + 1 < m else 0.0),
+             "selected": j == j_hat, "fallback": diag["fallback"]}
+            for j in range(m)
+        ]
+    out = args.out if args.out else sys.stdout
+    dataio.write_records(records, list(records[0]), out, fmt=args.format)
     return EXIT_OK if fit.converged else EXIT_NOT_CONVERGED
 
 
 def cmd_simulate(args) -> int:
     runner = _EXPERIMENTS[args.experiment]
     signature = inspect.signature(runner)
-    given = {k: v for k, v in vars(args).items()
-             if v is not None and k not in _OUTPUT_FLAGS}
-    unused = [f"--{k.replace('_', '-')}" for k in given
-              if k not in signature.parameters]
-    if unused:
-        raise ValueError(f"--experiment {args.experiment} does not take "
-                         + ", ".join(unused))
+    given = _given(args, vars(args).keys() - set(_OUTPUT_FLAGS))
+    _refuse(f"--experiment {args.experiment}", given, signature.parameters)
     result = runner(**given)
     if isinstance(result, ExperimentReport):
         dataio.write_report(result, args.out, fmt=args.format)
@@ -343,8 +342,8 @@ def cmd_diagnose(args) -> int:
 
 _COMMANDS = {
     "fit": cmd_fit,
-    "fit-l1": cmd_fit_l1,
-    "fit-truncated": cmd_fit_truncated,
+    "fit-l1": cmd_fit,
+    "fit-truncated": cmd_fit,
     "tune": cmd_tune,
     "simulate": cmd_simulate,
     "diagnose": cmd_diagnose,

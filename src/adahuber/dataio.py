@@ -106,12 +106,9 @@ def load_csv(path: str, response_column: str, delimiter: str = ",") -> Dataset:
 def save_csv(data: Dataset, path: str) -> None:
     """Write a Dataset as comma-separated CSV under the header
     ``y,x1,...,xd`` (response first, then covariates)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["y"] + [f"x{j + 1}" for j in range(data.d)])
-        for i in range(data.n):
-            writer.writerow([_fmt(float(data.y[i]))] +
-                            [_fmt(float(v)) for v in data.x[i]])
+    np.savetxt(path, np.column_stack([data.y, data.x]), fmt="%.17g",
+               delimiter=",", comments="",
+               header=",".join(["y"] + [f"x{j + 1}" for j in range(data.d)]))
 
 
 def write_records(records, columns, out, fmt: str = "csv") -> None:

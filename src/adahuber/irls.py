@@ -116,12 +116,15 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
     Each sweep forms the residuals once; they give the recorded loss, the
     gradient and the next sweep's weights.
     """
-    tau = _check_tau(tau)
+    return _irls(data, _check_tau(tau), cfg or IRLS_DEFAULTS, _start(data))
+
+
+def _start(data: Dataset) -> np.ndarray:
+    """The IRLS start: the OLS fit, or zeros when OLS is rank-deficient."""
     try:
-        beta = fit_ols(data).beta
+        return fit_ols(data).beta
     except RankDeficientError:
-        beta = np.zeros(data.p)
-    return _irls(data, tau, cfg or IRLS_DEFAULTS, beta)
+        return np.zeros(data.p)
 
 
 def _irls(data: Dataset, tau: float, cfg: SolverConfig,

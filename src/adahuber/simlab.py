@@ -145,9 +145,11 @@ def gen_linear_data(spec: ExperimentSpec, rep=0):
 def resolve_threads(threads: int | None = None) -> int:
     """Worker count: explicit argument, then ADAHUBER_THREADS, then CPU count."""
     if threads is None:
-        env = os.environ.get("ADAHUBER_THREADS")
-        threads = int(env) if env else (os.cpu_count() or 1)
-    return max(1, int(threads))
+        threads = os.environ.get("ADAHUBER_THREADS") or os.cpu_count() or 1
+    threads = int(threads)
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    return threads
 
 
 def _map_ordered(fn, count: int, threads: int | None):

@@ -18,7 +18,7 @@ from .core import (
     RankDeficientError,
     predict,
 )
-from .irls import IRLS_DEFAULTS, _check_rank, _irls, fit_huber, fit_ols
+from .irls import IRLS_DEFAULTS, _check_rank, _irls, _start, fit_huber, fit_ols
 from .lamm import fit_l1_huber
 
 
@@ -120,29 +120,25 @@ def cross_validate(
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     blocks = np.array_split(order, grid.folds)
-    splits = []
-    for k in range(grid.folds):
-        test = blocks[k]
-        train = np.concatenate([blocks[j] for j in range(grid.folds) if j != k])
-        splits.append((train, test))
-
+    trains = [data.subset(np.concatenate(blocks[:k] + blocks[k + 1:]))
+              for k in range(grid.folds)]
     # In the unpenalized (low-dimensional) branch the fit depends only on
-    # c_tau, so fold fits are cached across the c_lambda axis.
+    # c_tau, so fold fits are cached across the c_lambda axis, and every
+    # c_tau starts from the fold's one IRLS start.
+    starts = None if high_dim else [_start(sub) for sub in trains]
     fold_cache: dict = {}
 
     def fold_mae(c_tau, c_lambda, k):
         key = (c_tau, k) if not high_dim else (c_tau, c_lambda, k)
         if key in fold_cache:
             return fold_cache[key]
-        train, test = splits[k]
         params = default_params(sigma, n_eff, t, c_tau, c_lambda)
-        sub = data.subset(train)
         if high_dim:
-            fit = fit_l1_huber(sub, params)
+            fit = fit_l1_huber(trains[k], params)
         else:
-            fit = fit_huber(sub, params.tau)
-        pred = predict(fit.beta, data.x[test], data.intercept)
-        value = float(np.mean(np.abs(data.y[test] - pred)))
+            fit = _irls(trains[k], params.tau, IRLS_DEFAULTS, starts[k])
+        pred = predict(fit.beta, data.x[blocks[k]], data.intercept)
+        value = float(np.mean(np.abs(data.y[blocks[k]] - pred)))
         fold_cache[key] = value
         return value
 

@@ -1,8 +1,10 @@
 import argparse
 import inspect
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from adahuber.cli import build_parser, main
 from adahuber.core import Dataset
 from adahuber.dataio import CsvFormatError, load_csv, save_csv
 from adahuber.simlab import run_lepski_study, run_moment_checks
+from adahuber.tuning import TuningGrid, cross_validate, lepski_select
 
 
 @pytest.fixture
@@ -23,6 +26,21 @@ def toy_csv(tmp_path):
     lines = ["y,x1"] + [f"{float(yi)!r},{float(xi)!r}" for yi, xi in zip(y, x)]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+@pytest.fixture
+def wide_csv(tmp_path):
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((80, 3))
+    y = x @ np.array([1.0, -1.0, 0.5]) + rng.standard_normal(80)
+    path = tmp_path / "wide.csv"
+    save_csv(Dataset(x, y), str(path))
+    return path
+
+
+def subcommands():
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 # -------------------------------------------------------------------- loading
@@ -82,6 +100,16 @@ def test_round_trip_exact(tmp_path, rng):
     back = load_csv(str(path), "y")
     assert np.array_equal(back.x, data.x)
     assert np.array_equal(back.y, data.y)
+
+
+def test_save_csv_writes_17_digit_rows(tmp_path):
+    x = np.array([[-0.0, 5e-324, 1e300], [1 / 3, -2.5e-310, np.pi]])
+    y = np.array([0.1, -1e-300])
+    path = tmp_path / "edge.csv"
+    save_csv(Dataset(x, y), str(path))
+    rows = [",".join(format(float(v), ".17g") for v in (yi, *xi))
+            for yi, xi in zip(y, x)]
+    assert path.read_bytes() == ("y,x1,x2,x3\n" + "\n".join(rows) + "\n").encode()
 
 
 # ------------------------------------------------------------------ fit paths
@@ -147,7 +175,54 @@ def test_fit_l1_and_truncated_paths(toy_csv, tmp_path):
     assert main(["fit-l1", "--input", str(toy_csv), "--response", "y",
                  "--lambda", "0.01", "--out", str(tmp_path / "a.csv")]) == 0
     assert main(["fit-truncated", "--input", str(toy_csv), "--response", "y",
-                 "--varpi", "10", "--out", str(tmp_path / "b.csv")]) == 0
+                 "--tau", "3.6", "--lambda", "0.2", "--varpi", "10",
+                 "--out", str(tmp_path / "b.csv")]) == 0
+
+
+@pytest.mark.parametrize("extra", [
+    [], ["--varpi", "10"], ["--tau", "3.6", "--lambda", "0.2"],
+    ["--lambda", "0.2", "--varpi", "10", "--s-guess", "1"],
+])
+def test_fit_truncated_rule_needs_two_covariates(toy_csv, tmp_path, extra,
+                                                 capsys):
+    # the rule runs unless --tau, --lambda and --varpi are all given
+    out = tmp_path / "o.csv"
+    assert main(["fit-truncated", "--input", str(toy_csv), "--response", "y",
+                 "--out", str(out)] + extra) == 1
+    assert "d must be at least 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_truncated_refuses_s_guess_when_the_rule_does_not_run(
+        wide_csv, tmp_path, capsys):
+    base = ["fit-truncated", "--input", str(wide_csv), "--response", "y",
+            "--s-guess", "2", "--out", str(tmp_path / "o.csv")]
+    assert main(base + ["--varpi", "2"]) == 0
+    assert main(base + ["--tau", "2", "--lambda", "0.1", "--varpi", "2"]) == 1
+    assert "does not take --s-guess" in capsys.readouterr().err
+
+
+def test_fit_with_every_parameter_given_skips_the_rule(tmp_path):
+    # a constant response has no scale for the rule, but a given tau fits it
+    path = tmp_path / "flat.csv"
+    path.write_text("y,x1\n1,0.5\n1,-1\n1,2\n1,0.3\n")
+    base = ["fit", "--input", str(path), "--response", "y", "--intercept",
+            "--out", str(tmp_path / "o.csv")]
+    assert main(base + ["--tau", "1"]) == 0
+    assert main(base) == 1
+
+
+@pytest.mark.parametrize("command", ["fit", "fit-l1", "fit-truncated"])
+def test_fit_commands_take_no_seed(wide_csv, tmp_path, command):
+    out = tmp_path / "o.csv"
+    base = [command, "--input", str(wide_csv), "--response", "y",
+            "--out", str(out)]
+    assert main(base) == 0
+    assert "seed" not in dict(line.split(",", 1)
+                              for line in out.read_text().splitlines())
+    with pytest.raises(SystemExit) as exc:
+        main(base + ["--seed", "0"])
+    assert exc.value.code == 1
 
 
 def test_error_exit_one(tmp_path):
@@ -208,6 +283,48 @@ def test_tune_lepski_reports_grid(tmp_path):
     assert all("threshold" in r and "tau" in r for r in records)
 
 
+def default_of(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+@pytest.mark.parametrize("method", ["cv", "lepski"])
+def test_tune_defaults_are_the_library_defaults(wide_csv, tmp_path, method):
+    grid = TuningGrid()
+    assert grid.c_tau_candidates == grid.c_lambda_candidates
+    spelled = {
+        "cv": ["--grid", ",".join(map(str, grid.c_tau_candidates)),
+               "--folds", str(grid.folds),
+               "--seed", str(default_of(cross_validate, "seed"))],
+        "lepski": ["--lepski-K", str(default_of(lepski_select, "K")),
+                   "--lepski-a", str(default_of(lepski_select, "a"))],
+    }[method]
+    outputs = []
+    for extra in ([], spelled):
+        out = tmp_path / f"t{len(extra)}.csv"
+        assert main(["tune", "--input", str(wide_csv), "--response", "y",
+                     "--method", method, "--out", str(out)] + extra) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("method,extra", [
+    ("lepski", ["--grid", "1"]),
+    ("lepski", ["--folds", "4"]),
+    ("lepski", ["--high-dim"]),
+    ("lepski", ["--seed", "1"]),
+    ("cv", ["--lepski-K", "3"]),
+    ("cv", ["--lepski-a", "1.5"]),
+])
+def test_tune_rejects_flags_of_the_other_method(wide_csv, tmp_path, method,
+                                                extra, capsys):
+    out = tmp_path / "t.csv"
+    assert main(["tune", "--input", str(wide_csv), "--response", "y",
+                 "--method", method, "--out", str(out)] + extra) == 1
+    assert f"--method {method} does not take {extra[0]}" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------- simulate
 
 # small arguments for every simulate experiment
@@ -252,6 +369,19 @@ def test_simulate_flags_are_runner_parameters():
     taken = {name for runner in cli._EXPERIMENTS.values()
              for name in inspect.signature(runner).parameters}
     assert flags and flags <= taken
+
+
+def test_tune_method_flags_belong_to_one_method():
+    io = {"help", "input", "response", "delimiter", "intercept", "out",
+          "format", "method"}
+    flags = {a.dest for a in subcommands()["tune"]._actions} - io
+    owned = [k for ks in cli._TUNE_METHODS.values() for k in ks]
+    assert sorted(owned) == sorted(flags)
+    # each flag reaches the library: a TuningGrid field or a keyword
+    cv = set(cli._TUNE_METHODS["cv"]) - {"grid", "folds"}
+    assert cv <= set(inspect.signature(cross_validate).parameters)
+    lepski = {k.removeprefix("lepski_") for k in cli._TUNE_METHODS["lepski"]}
+    assert lepski <= set(inspect.signature(lepski_select).parameters)
 
 
 @pytest.mark.parametrize("experiment,extra", SIMULATE_CASES)
@@ -321,6 +451,20 @@ def test_simulate_rejects_flags_the_experiment_ignores(tmp_path, experiment,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads,env", [("0", None), ("-3", None),
+                                         (None, "0")])
+def test_simulate_rejects_worker_counts_below_one(tmp_path, monkeypatch,
+                                                  threads, env, capsys):
+    if env is not None:
+        monkeypatch.setenv("ADAHUBER_THREADS", env)
+    out = tmp_path / "o.csv"
+    args = ["simulate", "--experiment", "lepski", "--reps", "1", "--n", "60",
+            "--out", str(out)]
+    assert main(args + (["--threads", threads] if threads else [])) == 1
+    assert "threads must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("experiment,extra,direct", [
     ("moments", ["--n", "2000"], lambda: run_moment_checks(n=2000, seed=7)),
     ("lepski", ["--n", "60", "--d", "3", "--reps", "2"],
@@ -387,6 +531,15 @@ def test_diagnose_puts_the_response_first(tmp_path):
 
 
 # ------------------------------------------------------------------ packaging
+
+def test_readme_names_every_cli_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    options = {opt for parser in subcommands().values()
+               for action in parser._actions for opt in action.option_strings}
+    missing = sorted(opt for opt in options - {"-h", "--help", "--version"}
+                     if not re.search(re.escape(opt) + r"(?![\w-])", readme))
+    assert not missing
+
 
 def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "adahuber.cli", "--version"],

@@ -149,6 +149,28 @@ def test_cv_folds_exceeding_n(rng):
         cross_validate(data, grid)
 
 
+def test_cv_low_dim_fits_each_fold_start_once(rng, monkeypatch):
+    real, calls = irls.fit_ols, []
+
+    def counted(data):
+        calls.append(data)
+        return real(data)
+
+    monkeypatch.setattr(irls, "fit_ols", counted)
+    monkeypatch.setattr(tuning, "fit_ols", counted)
+    data, _ = make_sparse_instance(rng, n=60, d=6, noise=1.0)
+    grid = TuningGrid((0.5, 1.0, 1.5), (0.5, 1.0), folds=4)
+    cross_validate(data, grid, seed=2)
+    # one start per fold, shared by every c_tau, plus the full-data refit
+    assert len(calls) == grid.folds + 1
+
+
+def test_cv_cell_with_an_infinite_tau_fails(rng):
+    data, _ = make_sparse_instance(rng, n=60, d=6, noise=1.0)
+    _, _, _, table = cross_validate(data, TuningGrid((1e308, 1.0), (1.0,)))
+    assert [row["failed"] for row in table] == [True, False]
+
+
 def test_tuning_grid_validation():
     with pytest.raises(ValueError):
         TuningGrid((), (1.0,))
