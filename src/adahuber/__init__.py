@@ -36,6 +36,7 @@ from .tuning import (
     estimate_sigma_crude,
     lepski_select,
     moment_estimate,
+    plug_in,
 )
 from .simlab import (
     ExperimentReport,
@@ -86,6 +87,7 @@ __all__ = [
     "default_truncation_params",
     "estimate_sigma_crude",
     "default_params",
+    "plug_in",
     "effective_sample_size",
     "moment_estimate",
     "cross_validate",

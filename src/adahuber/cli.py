@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
-import math
 import sys
 
 import numpy as np
@@ -30,14 +29,7 @@ from .simlab import (
     run_table1,
 )
 from .truncated import default_truncation_params, fit_truncated
-from .tuning import (
-    TuningGrid,
-    cross_validate,
-    default_params,
-    effective_sample_size,
-    estimate_sigma_crude,
-    lepski_select,
-)
+from .tuning import TuningGrid, cross_validate, lepski_select, plug_in
 from . import dataio
 
 EXIT_OK = 0
@@ -216,20 +208,13 @@ def _emit_fit(args, data: Dataset, fit, params: HuberParams,
     return EXIT_OK if fit.converged else EXIT_NOT_CONVERGED
 
 
-def _plug_in(data: Dataset, high_dim: bool) -> HuberParams:
-    """The finite-variance plug-in rule at t = log n."""
-    sigma = estimate_sigma_crude(data.y)
-    n_eff = effective_sample_size(data.n, data.d, high_dim)
-    return default_params(sigma, n_eff, math.log(data.n))
-
-
 # fit subcommand -> (solver, solver defaults, rule for the parameters left out)
 _FITS = {
     "fit": (lambda data, params, cfg: fit_huber(data, params.tau, cfg),
             IRLS_DEFAULTS,
-            lambda data, args: HuberParams(_plug_in(data, high_dim=False).tau)),
+            lambda data, args: HuberParams(plug_in(data, False)().tau)),
     "fit-l1": (fit_l1_huber, LAMM_DEFAULTS,
-               lambda data, args: _plug_in(data, high_dim=True)),
+               lambda data, args: plug_in(data, True)()),
     "fit-truncated": (fit_truncated, LAMM_DEFAULTS,
                       lambda data, args: default_truncation_params(
                           data.n, data.d, args.s_guess)),

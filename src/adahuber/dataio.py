@@ -23,13 +23,14 @@ class CsvFormatError(ValueError):
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return format(value, ".17g")
-    if isinstance(value, (np.floating,)):
-        return format(float(value), ".17g")
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")  # also spells nan, inf and -inf
     return str(value)
+
+
+def _json_value(value):
+    # JSON (RFC 8259) has no NaN or infinity; a non-finite real is null
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def read_table(path: str, delimiter: str = ","):
@@ -113,7 +114,7 @@ def save_csv(data: Dataset, path: str) -> None:
 
 def write_records(records, columns, out, fmt: str = "csv") -> None:
     """Write homogeneous dict records as CSV (fixed column order) or as
-    JSON lines."""
+    JSON lines, where a non-finite real is written as null."""
     close = False
     if isinstance(out, (str, os.PathLike)):
         out = open(out, "w", newline="", encoding="utf-8")
@@ -126,8 +127,8 @@ def write_records(records, columns, out, fmt: str = "csv") -> None:
                 writer.writerow([_fmt(rec.get(c, "")) for c in columns])
         elif fmt == "jsonl":
             for rec in records:
-                out.write(json.dumps({c: rec.get(c) for c in columns},
-                                     sort_keys=True))
+                out.write(json.dumps({c: _json_value(rec.get(c)) for c in columns},
+                                     sort_keys=True, allow_nan=False))
                 out.write("\n")
         else:
             raise ValueError(f"unknown output format {fmt!r}")

@@ -18,11 +18,10 @@ from .lamm import fit_l1_huber
 from .tuning import (
     TuningGrid,
     cross_validate,
-    default_params,
     effective_sample_size,
-    estimate_sigma_crude,
     lepski_select,
     moment_estimate,
+    plug_in,
 )
 
 GENERATOR_ID = "numpy.default_rng/PCG64"
@@ -34,56 +33,45 @@ _NOISE_FAMILIES = ("normal", "student_t", "lognormal")
 class NoiseSpec:
     """Error distribution for synthetic regression data.
 
-    Families: normal (scale ``variance``), student_t (``df`` > 1 so the mean
-    exists), lognormal (``log_variance`` of the underlying normal, minus the
-    analytic mean exp(log_variance / 2) so the errors average to zero).
+    ``param`` is the variance for normal, the degrees of freedom for
+    student_t, and the variance of the underlying normal for lognormal,
+    whose draws are centered by the analytic mean exp(param / 2) so the
+    errors average to zero.  A missing ``param`` (NaN) is rejected.
     """
 
     family: str
-    variance: float | None = None
-    df: float | None = None
-    log_variance: float | None = None
+    param: float = math.nan
 
     def __post_init__(self):
         if self.family not in _NOISE_FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
-        if self.family == "normal" and not (
-            self.variance is not None and self.variance > 0
-        ):
-            raise ValueError("normal noise needs variance > 0")
-        if self.family == "student_t" and not (self.df is not None and self.df > 1):
-            raise ValueError("student_t noise needs df > 1 (finite mean)")
-        if self.family == "lognormal" and not (
-            self.log_variance is not None and self.log_variance > 0
-        ):
-            raise ValueError("lognormal noise needs log_variance > 0")
+        floor = 1.0 if self.family == "student_t" else 0.0  # df > 1: finite mean
+        if not self.param > floor:
+            raise ValueError(f"{self.family} noise needs a parameter > {floor:g}, "
+                             f"got {self.param!r}")
 
     @classmethod
     def normal(cls, variance: float) -> "NoiseSpec":
-        return cls("normal", variance=variance)
+        return cls("normal", variance)
 
     @classmethod
     def student_t(cls, df: float) -> "NoiseSpec":
-        return cls("student_t", df=df)
+        return cls("student_t", df)
 
     @classmethod
     def lognormal(cls, log_variance: float) -> "NoiseSpec":
-        return cls("lognormal", log_variance=log_variance)
+        return cls("lognormal", log_variance)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.family == "normal":
-            return rng.normal(0.0, math.sqrt(self.variance), size)
         if self.family == "student_t":
-            return rng.standard_t(self.df, size)
-        draws = np.exp(rng.normal(0.0, math.sqrt(self.log_variance), size))
-        return draws - math.exp(self.log_variance / 2.0)
+            return rng.standard_t(self.param, size)
+        draws = rng.normal(0.0, math.sqrt(self.param), size)
+        if self.family == "normal":
+            return draws
+        return np.exp(draws) - math.exp(self.param / 2.0)
 
     def label(self) -> str:
-        if self.family == "normal":
-            return f"normal({self.variance:g})"
-        if self.family == "student_t":
-            return f"student_t({self.df:g})"
-        return f"lognormal({self.log_variance:g})"
+        return f"{self.family}({self.param:g})"
 
 
 @dataclass(frozen=True)
@@ -280,19 +268,17 @@ def run_table1(
 _PILOT_CFG = SolverConfig(tol=1e-3, max_iter=2000)
 
 
-def _pilot_residuals(data: Dataset, high_dim: bool, t: float):
+def _pilot_residuals(data: Dataset, high_dim: bool):
     """Residuals for moment estimation before the main fit.
 
     OLS residuals when the sample comfortably supports them; otherwise an
-    l1-penalized pilot at unit constants (OLS is unavailable once the
-    coefficient count approaches n).
+    l1-penalized pilot at the high-dimensional plug-in rule with unit
+    constants (OLS is unavailable once the coefficient count approaches n).
     """
     if not high_dim and data.n > 2 * data.p:
         fit = fit_ols(data)
         return data.y - data.design @ fit.beta
-    sigma = estimate_sigma_crude(data.y)
-    n_eff = effective_sample_size(data.n, data.d, True)
-    fit = fit_l1_huber(data, default_params(sigma, n_eff, t), _PILOT_CFG)
+    fit = fit_l1_huber(data, plug_in(data, True)(), _PILOT_CFG)
     return data.y - data.design @ fit.beta
 
 
@@ -311,11 +297,11 @@ def adaptive_tau(residuals, delta: float, n_eff: float, t: float,
 
 
 def _run_cells(cells, reps: int, seed: int, high_dim: bool, c_tau: float,
-               c_lambda: float, t: float | None, threads: int | None) -> list:
+               c_lambda: float, threads: int | None) -> list:
     """Student-t replications over (n, d, df) cells: pilot residuals,
-    ``adaptive_tau`` with delta = df - 1 - 0.05 and t = log n unless given,
-    then the Huber fit (in high dimensions the l1 fit at the plug-in
-    penalty) and its l2 error, NaN on a library error.
+    ``adaptive_tau`` with delta = df - 1 - 0.05 and t = log n, then the
+    Huber fit (in high dimensions the l1 fit at the plug-in penalty) and its
+    l2 error, NaN on a library error.
 
     Replication ``rep`` of cell ``i`` draws from stream (seed, i, rep).
     Returns one array of errors per cell, in cell order.
@@ -326,15 +312,12 @@ def _run_cells(cells, reps: int, seed: int, high_dim: bool, c_tau: float,
         beta = default_beta_star(d)
         spec = ExperimentSpec(n, d, beta, NoiseSpec.student_t(df), seed=seed)
         data, _ = gen_linear_data(spec, rep=(cell, rep))
-        t_val = t if t is not None else math.log(n)
         n_eff = effective_sample_size(n, d, high_dim)
         try:
-            resid = _pilot_residuals(data, high_dim, t_val)
-            tau = adaptive_tau(resid, df - 1.0 - 0.05, n_eff, t_val, c_tau)
+            resid = _pilot_residuals(data, high_dim)
+            tau = adaptive_tau(resid, df - 1.0 - 0.05, n_eff, math.log(n), c_tau)
             if high_dim:
-                sigma = estimate_sigma_crude(data.y)
-                lam = default_params(sigma, n_eff, t_val,
-                                     c_lambda=c_lambda).lam
+                lam = plug_in(data, True)(c_lambda=c_lambda).lam
                 fit = fit_l1_huber(data, HuberParams(tau=tau, lam=lam))
             else:
                 fit = fit_huber(data, tau)
@@ -356,7 +339,6 @@ def run_phase_transition(
     seed: int = 0,
     c_tau: float = 0.05,
     c_lambda: float = 1.0,
-    t: float | None = None,
     threads: int | None = None,
 ) -> list:
     """Error decay under Student-t noise of varying tail index.
@@ -374,7 +356,7 @@ def run_phase_transition(
     if any(df <= 1.05 for df in df_grid):
         raise ValueError("every df must exceed 1.05 so that delta > 0")
     errors = _run_cells([(n, d, df) for df in df_grid], reps, seed, high_dim,
-                        c_tau, c_lambda, t, threads)
+                        c_tau, c_lambda, threads)
     rows = []
     for df, errs in zip(df_grid, errors):
         ok = errs[np.isfinite(errs)]
@@ -396,7 +378,6 @@ def run_neff_experiment(
     df: float = 1.5,
     c_tau: float = 0.5,
     c_lambda: float = 0.25,
-    t: float | None = None,
     threads: int | None = None,
 ) -> list:
     """Error versus effective sample size n / log d for the l1 solver.
@@ -407,12 +388,12 @@ def run_neff_experiment(
     plug-in rule.  One row per (d, n) pair.
     """
     cells = [(n, d, df) for d in d_grid for n in n_grid]
-    errors = _run_cells(cells, reps, seed, True, c_tau, c_lambda, t, threads)
+    errors = _run_cells(cells, reps, seed, True, c_tau, c_lambda, threads)
     rows = []
     for (n, d, _), errs in zip(cells, errors):
         mean, std, failed = _summary(errs)
         rows.append(
-            {"d": d, "n": n, "n_eff": n / math.log(d),
+            {"d": d, "n": n, "n_eff": effective_sample_size(n, d, True),
              "mean_l2_error": mean, "std_l2_error": std, "failed": failed}
         )
     return rows
@@ -438,6 +419,7 @@ def check_bias_decay(
     raw, _ = gen_linear_data(spec)
     data = Dataset(raw.x, raw.y, intercept=True)
     target = np.append(beta, 0.0)
+    gram_inv = np.linalg.inv(data.design.T @ data.design / data.n)
 
     rows = []
     for tau in tau_grid:
@@ -445,11 +427,10 @@ def check_bias_decay(
         resid = data.y - data.design @ fit.beta
         psi = _score(resid, tau)
         active = float(np.mean(np.abs(resid) <= tau))
-        gram = data.design.T @ data.design / data.n
         cov = (
             float(np.mean(psi**2))
             / max(active, 1e-12) ** 2
-            * np.linalg.inv(gram)
+            * gram_inv
             / data.n
         )
         rows.append(
@@ -549,6 +530,7 @@ def run_moment_checks(n: int = 100_000, seed: int = 0,
     kappa = 1 from one set of 10^6 draws.  The moment checks of different
     taus run on the worker pool.
     """
+    threads = resolve_threads(threads)  # reject a bad count before any work
     bias = check_bias_decay(MOMENT_NOISE, MOMENT_TAUS, n_large=n, seed=seed)
     eps = MOMENT_NOISE.sample(_rng(seed), 1_000_000)  # shared by every tau
     moments = _map_ordered(lambda i: _moment_report(eps, MOMENT_TAUS[i], 1.0),

@@ -10,6 +10,7 @@ import numpy as np
 from .core import Dataset, HuberParams, predict, truncate_matrix
 from .irls import FitResult, SolverConfig
 from .lamm import fit_l1_huber
+from .tuning import effective_sample_size
 
 
 def fit_truncated(
@@ -62,7 +63,7 @@ def default_truncation_params(
         s_guess = max(1, math.ceil(math.sqrt(d)))
     if s_guess < 1:
         raise ValueError("s_guess must be a positive integer")
-    ratio = n / math.log(d)
+    ratio = effective_sample_size(n, d, True)
     return HuberParams(
         tau=c_tau * math.sqrt(s_guess) * ratio**0.25,
         lam=c_lambda * math.sqrt(s_guess * math.log(d) / n),

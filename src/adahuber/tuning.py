@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -83,6 +83,16 @@ def default_params(
     return HuberParams(tau=c_tau * sigma_hat * root, lam=c_lambda * sigma_hat / root)
 
 
+def plug_in(data: Dataset, high_dim: bool):
+    """The finite-variance plug-in rule of ``data`` at t = log n: returns
+    ``default_params`` bound to sd(y) and the effective sample size, to be
+    called with ``(c_tau, c_lambda)``.  Binding once lets a caller try many
+    constants (``cross_validate``) while estimating the scale once."""
+    return partial(default_params, estimate_sigma_crude(data.y),
+                   effective_sample_size(data.n, data.d, high_dim),
+                   math.log(data.n))
+
+
 def moment_estimate(residuals, delta: float) -> float:
     """(1+delta)-th absolute central sample moment of the residuals."""
     if not 0 < delta <= 1:
@@ -113,9 +123,7 @@ def cross_validate(
     n = data.n
     if grid.folds > n:
         raise ValueError(f"folds ({grid.folds}) exceeds sample size ({n})")
-    t = math.log(n)
-    sigma = estimate_sigma_crude(data.y)
-    n_eff = effective_sample_size(n, data.d, high_dim)
+    rule = plug_in(data, high_dim)
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
@@ -132,7 +140,7 @@ def cross_validate(
         key = (c_tau, k) if not high_dim else (c_tau, c_lambda, k)
         if key in fold_cache:
             return fold_cache[key]
-        params = default_params(sigma, n_eff, t, c_tau, c_lambda)
+        params = rule(c_tau, c_lambda)
         if high_dim:
             fit = fit_l1_huber(trains[k], params)
         else:
@@ -166,7 +174,7 @@ def cross_validate(
     if not viable:
         raise TuningError("every cross-validation cell failed")
     best = min(viable, key=lambda r: (r["mean_mae"], -r["c_tau"], -r["c_lambda"]))
-    params = default_params(sigma, n_eff, t, best["c_tau"], best["c_lambda"])
+    params = rule(best["c_tau"], best["c_lambda"])
     if high_dim:
         fit = fit_l1_huber(data, params)
     else:

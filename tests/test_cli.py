@@ -1,6 +1,8 @@
 import argparse
 import inspect
+import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adahuber import cli
+from adahuber import cli, dataio
 from adahuber.cli import build_parser, main
 from adahuber.core import Dataset
 from adahuber.dataio import CsvFormatError, load_csv, save_csv
@@ -281,6 +283,34 @@ def test_tune_lepski_reports_grid(tmp_path):
     records = [json.loads(l) for l in out.read_text().splitlines()]
     assert sum(r["selected"] for r in records) == 1
     assert all("threshold" in r and "tau" in r for r in records)
+
+
+def test_jsonl_writes_nonfinite_reals_as_null(wide_csv, tmp_path):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    out = tmp_path / "cv.jsonl"
+    assert main(["tune", "--input", str(wide_csv), "--response", "y",
+                 "--grid", "1e308,1", "--format", "jsonl",
+                 "--out", str(out)]) == 0
+    records = [json.loads(line, parse_constant=refuse)
+               for line in out.read_text().splitlines()]
+    assert [r["mean_mae"] is None for r in records] == [r["failed"] for r in records]
+    assert any(r["failed"] for r in records)
+    assert not all(r["failed"] for r in records)
+    csv_out = tmp_path / "cv.csv"
+    assert main(["tune", "--input", str(wide_csv), "--response", "y",
+                 "--grid", "1e308,1", "--out", str(csv_out)]) == 0
+    assert ",nan," in csv_out.read_text()
+
+
+def test_write_records_jsonl_nulls_every_nonfinite_real():
+    out = io.StringIO()
+    dataio.write_records([{"a": math.nan, "b": -math.inf, "c": np.float64(math.inf),
+                           "d": 1.5, "e": ""}], ("a", "b", "c", "d", "e"), out,
+                          fmt="jsonl")
+    assert json.loads(out.getvalue()) == {"a": None, "b": None, "c": None,
+                                          "d": 1.5, "e": ""}
 
 
 def default_of(fn, name):

@@ -22,3 +22,19 @@ def test_src_imports_only_stdlib_and_numpy():
     foreign = {f"{path.name}: {root}" for path in files
                for root in imported_roots(path) if root not in ALLOWED}
     assert not foreign, sorted(foreign)
+
+
+def test_only_tuning_builds_the_plug_in_rule():
+    """The plug-in rule has one home: every other module calls
+    ``tuning.plug_in`` instead of the pieces it binds."""
+    pieces = {"default_params", "estimate_sigma_crude"}
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "tuning.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name in pieces:
+                users.add(f"{path.name}: {name}")
+    assert not users, sorted(users)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -33,6 +34,27 @@ def test_noise_validation():
         NoiseSpec.lognormal(0.0)
     with pytest.raises(ValueError):
         NoiseSpec("cauchy")
+
+
+def test_noise_spec_has_one_parameter():
+    assert [f.name for f in dataclasses.fields(NoiseSpec)] == ["family", "param"]
+    assert NoiseSpec.student_t(2.5) == NoiseSpec("student_t", 2.5)
+    assert NoiseSpec.normal(0.5).label() == "normal(0.5)"
+    with pytest.raises(ValueError):
+        NoiseSpec("normal")
+    with pytest.raises(ValueError):
+        NoiseSpec("normal", math.nan)
+
+
+def test_noise_draws_follow_each_family_formula():
+    def draw(noise):
+        return noise.sample(np.random.default_rng(3), 500).tobytes()
+
+    gen = np.random.default_rng
+    assert draw(NoiseSpec.normal(4.0)) == gen(3).normal(0.0, 2.0, 500).tobytes()
+    assert draw(NoiseSpec.student_t(1.5)) == gen(3).standard_t(1.5, 500).tobytes()
+    lognormal = np.exp(gen(3).normal(0.0, 2.0, 500)) - math.exp(2.0)
+    assert draw(NoiseSpec.lognormal(4.0)) == lognormal.tobytes()
 
 
 def test_experiment_spec_validation():
@@ -163,6 +185,12 @@ def test_neff_rows_include_effective_sample_size():
         assert row["n_eff"] == pytest.approx(n / math.log(50))
 
 
+def test_neff_one_covariate_reports_the_rule_it_fitted_with():
+    # n / log d is undefined at d = 1, where the plug-in rule uses n
+    rows = run_neff_experiment([1], [60], reps=1, seed=4, threads=1)
+    assert rows[0]["n_eff"] == 60.0
+
+
 # -------------------------------------------------------------- moment checks
 
 def test_truncated_moments_symmetric_noise_unbiased():
@@ -194,7 +222,30 @@ def test_moment_checks_equal_per_tau_calls():
         assert [repr(row[k]) for k in rep] == [repr(v) for v in rep.values()]
 
 
+def test_moment_checks_reject_a_bad_worker_count_before_any_work(monkeypatch):
+    def too_late(*args, **kwargs):
+        raise AssertionError("the worker count is checked after the work")
+
+    monkeypatch.setattr(simlab, "check_bias_decay", too_late)
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        run_moment_checks(threads=0)
+
+
 # ------------------------------------------------------------------ bias decay
+
+def test_bias_decay_inverts_the_gram_matrix_once(monkeypatch):
+    real, calls = np.linalg.inv, []
+
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    rows = check_bias_decay(NoiseSpec.normal(1.0), [1.0, 2.0, 4.0],
+                            n_large=2000, seed=3)
+    assert len(rows) == 3
+    assert calls == [(6, 6)]
+
 
 def test_bias_decay_symmetric_noise_is_noise_level():
     rows = check_bias_decay(NoiseSpec.normal(1.0), [1.0, 4.0, 16.0],

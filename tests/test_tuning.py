@@ -18,6 +18,7 @@ from adahuber.tuning import (
     estimate_sigma_crude,
     lepski_select,
     moment_estimate,
+    plug_in,
 )
 
 
@@ -169,6 +170,27 @@ def test_cv_cell_with_an_infinite_tau_fails(rng):
     data, _ = make_sparse_instance(rng, n=60, d=6, noise=1.0)
     _, _, _, table = cross_validate(data, TuningGrid((1e308, 1.0), (1.0,)))
     assert [row["failed"] for row in table] == [True, False]
+
+
+@pytest.mark.parametrize("intercept", [False, True])
+@pytest.mark.parametrize("high_dim", [False, True])
+def test_plug_in_equals_the_four_call_composition(rng, high_dim, intercept):
+    x = rng.standard_normal((70, 9))
+    data = Dataset(x, x[:, 0] + rng.standard_t(2.0, 70), intercept=intercept)
+    rule = plug_in(data, high_dim)
+    for c in [(), (0.25,), (1.5, 0.5), (3.0, 2.0)]:
+        old = default_params(estimate_sigma_crude(data.y),
+                             effective_sample_size(data.n, data.d, high_dim),
+                             math.log(data.n), *c)
+        new = rule(*c)
+        assert (new.tau.hex(), new.lam.hex()) == (old.tau.hex(), old.lam.hex())
+
+
+def test_cv_constant_response_is_degenerate(rng):
+    x = rng.standard_normal((40, 3))
+    for high_dim in (False, True):
+        with pytest.raises(DegenerateSampleError):
+            cross_validate(Dataset(x, np.full(40, 2.5)), high_dim=high_dim)
 
 
 def test_tuning_grid_validation():
