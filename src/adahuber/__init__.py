@@ -1,9 +1,10 @@
 """Adaptive Huber regression toolkit.
 
 Robust linear regression whose robustification level grows with the sample
-size: an IRLS solver for the unpenalized estimator, a majorize-minimization
-solver for the l1-penalized estimator, a truncated-covariate variant for
-heavy-tailed designs, data-driven tuning, and a Monte Carlo simulation lab.
+size: an IRLS solver for the unpenalized estimator, a column-scaled
+majorize-minimization solver for the l1-penalized estimator, a
+truncated-covariate variant for heavy-tailed designs, data-driven tuning,
+and a Monte Carlo simulation lab.
 """
 
 __version__ = "0.1.0"

@@ -188,14 +188,20 @@ def _coef_records(data: Dataset, beta) -> list:
 
 def _emit_fit(args, data: Dataset, fit, params: HuberParams,
               in_sample_mae: float, tuned: bool) -> int:
+    def cell(value):  # empty where the fit has no such value (IRLS counters)
+        return "" if value is None else value
+
     records = _coef_records(data, fit.beta)
     records += [
         {"key": "tau", "value": params.tau},
         {"key": "lambda", "value": params.lam},
-        {"key": "varpi", "value": params.varpi if params.varpi is not None else ""},
+        {"key": "varpi", "value": cell(params.varpi)},
         {"key": "params_from_data", "value": bool(tuned)},
         {"key": "converged", "value": bool(fit.converged)},
+        {"key": "stop_reason", "value": fit.stop_reason},
         {"key": "iterations", "value": int(fit.iterations)},
+        {"key": "matvecs", "value": cell(fit.matvecs)},
+        {"key": "inner_total", "value": cell(fit.inner_total)},
         {"key": "objective", "value": float(fit.objective)},
         {"key": "grad_norm", "value": float(fit.grad_norm)},
         {"key": "mae_in_sample", "value": in_sample_mae},

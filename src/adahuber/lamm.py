@@ -1,6 +1,8 @@
 """l1-regularized Huber regression via local adaptive majorize-minimization:
-isotropic quadratic surrogate inflated until it locally majorizes the loss,
-soft-threshold update, and safeguarded, restarted FISTA momentum."""
+a quadratic surrogate with curvature phi * s_j on coordinate j, where
+s_j = ||x_j||^2 / n, with phi inflated until it locally majorizes the loss;
+soft-threshold update; safeguarded, restarted FISTA momentum; and cyclic
+coordinate sweeps at curvature s_j for fits that stall at the float floor."""
 
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from .core import (
     NumericalFailureError,
     _hloss_score,
     _mean,
+    _score,
     _soft_threshold,
     empirical_loss,
     gradient,
@@ -25,8 +28,9 @@ from .irls import LAMM_DEFAULTS, FitResult, SolverConfig
 _MAJORIZE_SLACK = 1e-12
 _PHI_OVERFLOW = 1e300
 
-# Floor and starting value of the isotropic quadratic parameter phi, and the
-# factor by which phi inflates while the surrogate fails and warms down per step.
+# Floor and starting value of the multiplier phi on the column curvatures s_j,
+# and the factor by which phi inflates while the surrogate fails and warms down
+# per step.
 PHI0 = 1e-4
 GAMMA_U = 2.0
 
@@ -35,28 +39,43 @@ KKT_TOL = 1e-4
 
 
 def lamm_step(beta, data: Dataset, tau, lam, phi) -> np.ndarray:
-    """One proximal update: soft-threshold the gradient step at lam/phi; the
-    intercept coordinate, when present, takes the plain gradient step."""
+    """One proximal update at curvature phi * s_j on coordinate j: soft-threshold
+    beta_j - g_j/(phi s_j) at lam/(phi s_j); the intercept coordinate, when
+    present, takes the plain scaled gradient step."""
     if not phi > 0:
         raise ValueError(f"phi must be positive, got {phi!r}")
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam!r}")
     beta = np.asarray(beta, dtype=float).ravel()
-    return _step(beta, gradient(beta, data, tau), lam, phi, data.intercept)
+    return _step(beta, gradient(beta, data, tau), lam, phi * _scale(data),
+                 data.intercept)
 
 
 def majorization_holds(beta_new, beta_old, data: Dataset, tau, phi) -> bool:
-    """Whether the isotropic quadratic surrogate at beta_old sits above the
-    empirical loss at beta_new (up to float slack)."""
+    """Whether the quadratic surrogate at beta_old, of curvature phi * s_j on
+    coordinate j, sits above the empirical loss at beta_new (up to float
+    slack)."""
     if not phi > 0:
         raise ValueError(f"phi must be positive, got {phi!r}")
     new = np.asarray(beta_new, dtype=float).ravel()
     old = np.asarray(beta_old, dtype=float).ravel()
     return _majorizes(empirical_loss(new, data, tau), empirical_loss(old, data, tau),
-                      gradient(old, data, tau), new - old, phi)
+                      gradient(old, data, tau), new - old, phi, _scale(data))
 
 
-# validation-free kernels shared by the public wrappers and the solver loop
+def _scale(data: Dataset) -> np.ndarray:
+    """Column curvatures s_j = ||x_j||^2 / n of the working design: exactly 1
+    for the intercept, 1 for an all-zero column; raises if one overflows."""
+    design = data.design
+    with np.errstate(over="ignore"):
+        scale = np.einsum("ij,ij->j", design, design) / data.n
+    if not np.isfinite(scale).all():
+        raise NumericalFailureError("squared column norm overflow")
+    return np.where(scale > 0.0, scale, 1.0)
+
+
+# validation-free kernels shared by the public wrappers and the solver loop;
+# phi in _step is one curvature per coordinate
 def _step(beta, grad, lam, phi, intercept):
     v = beta - grad / phi
     out = _soft_threshold(v, lam / phi)
@@ -65,8 +84,9 @@ def _step(beta, grad, lam, phi, intercept):
     return out
 
 
-def _majorizes(loss_new, loss_old, grad, diff, phi) -> bool:
-    surrogate = loss_old + float(grad @ diff) + 0.5 * phi * float(diff @ diff)
+def _majorizes(loss_new, loss_old, grad, diff, phi, scale) -> bool:
+    surrogate = (loss_old + float(grad @ diff)
+                 + 0.5 * phi * float(diff @ (scale * diff)))
     return surrogate >= loss_new - _MAJORIZE_SLACK
 
 
@@ -94,18 +114,24 @@ def fit_l1_huber(
 ) -> FitResult:
     """Solve the l1-penalized Huber problem by monotone accelerated LAMM.
 
-    From zero, each iteration warms phi down by one GAMMA_U (never below PHI0)
-    and inflates it until the surrogate at the extrapolated point z majorizes
-    the loss at the candidate u.  The MFISTA safeguard keeps u only if the
+    Coordinate j of the surrogate has curvature phi * s_j (``_scale``).  From
+    zero, each iteration warms phi down by one GAMMA_U (never below PHI0) and
+    inflates it until the surrogate at the extrapolated point z majorizes the
+    loss at the candidate u.  The MFISTA safeguard keeps u only if the
     penalized objective does not rise, so the trajectory never increases; z
     then takes the FISTA momentum step, or restarts at beta after a rejection.
     Converges once an accepted step is at most ``cfg.tol`` and the KKT check
     passes at ``min(KKT_TOL, cfg.tol)``; stops with "no_descent" at the float
-    floor, where a step without momentum no longer lowers the objective.
+    floor, where a step without momentum no longer lowers the objective.  A
+    fit that stops there failing KKT at KKT_TOL (a steep column whose KKT
+    moves change the objective below float resolution) is finished by cyclic
+    coordinate sweeps at curvature s_j, each one iteration, until KKT passes,
+    a sweep changes nothing ("no_descent") or ``cfg.max_iter`` is reached.
     """
     cfg = cfg or LAMM_DEFAULTS
     tau, lam, kkt_tol = params.tau, params.lam, min(KKT_TOL, cfg.tol)
-    design, y, n, d = data.design, data.y, data.n, data.d
+    design, y, n, d, mask = data.design, data.y, data.n, data.d, data.penalty_mask
+    scale = _scale(data)
     trials, grads = [], 0
 
     def loss_grad(resid):  # at the point with these residuals: one product
@@ -124,10 +150,10 @@ def fit_l1_huber(
         loss_z, grad_z = loss_grad(r_z)
         phi = max(PHI0, phi / GAMMA_U)
         for inner in itertools.count(1):
-            u = _step(z, grad_z, lam, phi, data.intercept)
+            u = _step(z, grad_z, lam, phi * scale, data.intercept)
             r_u = y - design @ u
             loss_u = _mean(_hloss_score(r_u, tau)[0])
-            if _majorizes(loss_u, loss_z, grad_z, u - z, phi):
+            if _majorizes(loss_u, loss_z, grad_z, u - z, phi, scale):
                 break
             phi *= GAMMA_U
             if phi > _PHI_OVERFLOW:
@@ -150,15 +176,48 @@ def fit_l1_huber(
         traj.append(f_beta)
         if step <= cfg.tol or stalled:
             grad = loss_grad(r_beta)[1] if grad is None else grad
-            converged = _kkt_ok(grad, beta, data.penalty_mask, lam, kkt_tol)
+            converged = _kkt_ok(grad, beta, mask, lam, kkt_tol)
             if converged or stalled:
+                stop_reason = "converged" if converged else "no_descent"
+                break
+
+    sweeps = 0
+    if stop_reason == "no_descent" and not _kkt_ok(grad, beta, mask, lam, KKT_TOL):
+        cols, stop_reason = np.ascontiguousarray(design.T), "max_iter"
+        while len(trials) + sweeps < cfg.max_iter:
+            before, beta = beta, beta.copy()
+            _sweep(cols, beta, r_beta.copy(), scale, mask, tau, lam)
+            sweeps += 1
+            r_beta = y - design @ beta  # fresh, so no drift carries over
+            loss, grad = loss_grad(r_beta)
+            f_beta = loss + lam * float(np.abs(beta[:d]).sum())
+            traj.append(f_beta)
+            converged = _kkt_ok(grad, beta, mask, lam, kkt_tol)
+            if converged or np.array_equal(beta, before):
                 stop_reason = "converged" if converged else "no_descent"
                 break
 
     grad = loss_grad(r_beta)[1] if grad is None else grad
     return FitResult(
-        beta=beta, iterations=len(trials), converged=converged,
+        beta=beta, iterations=len(trials) + sweeps, converged=converged,
         objective=f_beta, grad_norm=float(np.linalg.norm(grad)),
         trajectory=tuple(traj), max_inner=max(trials), stop_reason=stop_reason,
-        matvecs=sum(trials) + grads, inner_total=sum(trials),
+        # a sweep: its column passes (a product each way) and a fresh residual
+        matvecs=sum(trials) + grads + 3 * sweeps, inner_total=sum(trials),
     )
+
+
+def _sweep(cols, beta, resid, scale, mask, tau, lam) -> None:
+    """One cyclic coordinate-descent pass, in place on ``beta`` and ``resid``.
+
+    Coordinate j takes the ``_step`` of its one-dimensional surrogate at
+    curvature s_j, which majorizes the loss along x_j exactly because
+    psi' <= 1, so no pass raises the objective; the unpenalized intercept
+    (mask False) takes the plain step."""
+    n = resid.shape[0]
+    for j in range(beta.shape[0]):
+        grad = -(cols[j:j + 1] @ _score(resid, tau)) / n
+        new = _step(beta[j:j + 1], grad, lam, scale[j:j + 1], not mask[j])[0]
+        if new != beta[j]:
+            resid -= (new - beta[j]) * cols[j]
+            beta[j] = new

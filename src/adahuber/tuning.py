@@ -28,16 +28,21 @@ class TuningError(RuntimeError):
 
 @dataclass(frozen=True)
 class TuningGrid:
-    """Cross-validation grid: candidate constants for tau and lam, and the
-    fold count."""
+    """Cross-validation grid: candidate constants for tau and lam (each
+    positive and finite), and the fold count."""
 
     c_tau_candidates: tuple = (0.5, 1.0, 1.5)
     c_lambda_candidates: tuple = (0.5, 1.0, 1.5)
     folds: int = 3
 
     def __post_init__(self):
-        if len(self.c_tau_candidates) == 0 or len(self.c_lambda_candidates) == 0:
-            raise ValueError("candidate lists must be nonempty")
+        for name in ("c_tau_candidates", "c_lambda_candidates"):
+            values = getattr(self, name)
+            if len(values) == 0:
+                raise ValueError("candidate lists must be nonempty")
+            if not all(math.isfinite(c) and c > 0 for c in values):
+                raise ValueError(
+                    f"{name} must be positive and finite, got {values!r}")
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
 

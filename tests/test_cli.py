@@ -166,6 +166,20 @@ def test_fit_solver_override_keeps_the_irls_defaults(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("command", ["fit", "fit-l1", "fit-truncated"])
+def test_fit_reports_stop_reason_and_counters(wide_csv, tmp_path, command):
+    out = tmp_path / "fit.csv"
+    assert main([command, "--input", str(wide_csv), "--response", "y",
+                 "--out", str(out)]) == 0
+    table = dict(line.split(",", 1) for line in
+                 out.read_text().strip().splitlines()[1:])
+    assert table["stop_reason"] == "converged"
+    if command == "fit":  # IRLS counts no products or surrogate trials
+        assert table["matvecs"] == table["inner_total"] == ""
+    else:
+        assert int(table["matvecs"]) > int(table["inner_total"]) >= 1
+
+
 def test_fit_takes_no_lambda(toy_csv):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--input", str(toy_csv), "--response", "y",
@@ -268,6 +282,14 @@ def test_tune_singleton_grid_marked_forced(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 2
     assert lines[1].endswith("true")  # forced column
+
+
+def test_tune_rejects_a_nan_grid_constant(wide_csv, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main(["tune", "--input", str(wide_csv), "--response", "y",
+                 "--grid", "nan,1", "--out", str(out)]) == 1
+    assert "positive and finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tune_lepski_reports_grid(tmp_path):

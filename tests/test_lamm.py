@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adahuber.core import (
     Dataset,
@@ -21,6 +23,13 @@ from adahuber.lamm import (
     lamm_step,
     majorization_holds,
 )
+from adahuber.simlab import (
+    ExperimentSpec,
+    NoiseSpec,
+    default_beta_star,
+    gen_linear_data,
+)
+from adahuber.truncated import default_truncation_params
 
 TIGHT = SolverConfig(tol=1e-8, max_iter=50_000)
 
@@ -74,7 +83,8 @@ def test_step_is_gradient_descent_when_unpenalized(rng):
     data, _ = random_instance(rng, 30, 4)
     beta = rng.standard_normal(4)
     got = lamm_step(beta, data, 1.0, lam=0.0, phi=1.0)
-    assert np.allclose(got, beta - gradient(beta, data, 1.0))
+    scale = np.sum(data.design ** 2, axis=0) / data.n  # column curvatures
+    assert np.allclose(got, beta - gradient(beta, data, 1.0) / scale)
 
 
 def test_step_hand_case():
@@ -310,3 +320,71 @@ def test_objective_matches_public_loss_bitwise(rng):
     fit = fit_l1_huber(data, params)
     loss = empirical_loss(fit.beta, data, params.tau)
     assert fit.objective == loss + params.lam * float(np.sum(np.abs(fit.beta)))
+
+
+# ------------------------------------------------------ column-scaled curvature
+
+def contaminated_instance(rep):
+    """Acceptance criterion 9's plain-arm fit: n=100, d=20, one entry 1e6."""
+    base = default_truncation_params(100, 20, s_guess=3)
+    spec = ExperimentSpec(100, 20, default_beta_star(20), NoiseSpec.normal(1.0),
+                          seed=99)
+    raw, _ = gen_linear_data(spec, rep)
+    x = raw.x.copy()
+    x[0, 0] = 1e6
+    return Dataset(x, raw.y), HuberParams(tau=base.tau, lam=base.lam, varpi=5.0)
+
+
+def assert_stationary_descent(fit, data, params):
+    assert fit.converged and fit.stop_reason == "converged"
+    assert kkt_satisfied(fit.beta, data, params.tau, params.lam, tol=1e-4)
+    assert np.all(np.diff(fit.trajectory) <= 1e-10)
+    assert len(fit.trajectory) == fit.iterations + 1
+
+
+@pytest.mark.parametrize("rep", [0, 1, 2])
+def test_steep_column_converges(rep):
+    # the 1e6 entry makes that column's curvature ~1e10 times the others';
+    # one shared curvature runs out the 5,000-iteration cap here
+    data, params = contaminated_instance(rep)
+    fit = fit_l1_huber(data, params)
+    assert_stationary_descent(fit, data, params)
+    assert fit.iterations < 200
+    again = fit_l1_huber(data, params)
+    assert again.beta.tobytes() == fit.beta.tobytes()
+    assert again.trajectory == fit.trajectory
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), intercept=st.booleans(),
+       lam_exp=st.floats(-3.0, 0.0))
+def test_random_column_scales_converge(seed, intercept, lam_exp):
+    rng = np.random.default_rng(seed)
+    data, _ = random_instance(rng, 60, 8)
+    x = data.x * 10 ** rng.uniform(-3, 6, size=8)
+    data = Dataset(x, data.y + 2.0 * intercept, intercept)
+    lam_max = float(np.max(np.abs(gradient(np.zeros(data.p), data, 1.0)[:8])))
+    params = HuberParams(tau=1.0, lam=lam_max * 10 ** lam_exp)
+    assert_stationary_descent(fit_l1_huber(data, params), data, params)
+
+
+@pytest.mark.parametrize("intercept", [False, True])
+def test_zero_column_stays_zero(rng, intercept):
+    data, _ = random_instance(rng, 50, 6)
+    x = data.x.copy()
+    x[:, 2] = 0.0
+    data = Dataset(x, data.y, intercept)
+    params = HuberParams(tau=1.0, lam=0.05)
+    fit = fit_l1_huber(data, params)
+    assert_stationary_descent(fit, data, params)
+    assert fit.beta[2] == 0.0
+
+
+def test_column_norm_overflow_raises_without_warning(rng):
+    x = rng.standard_normal((20, 3))
+    x[:, 1] *= 1e160  # finite entries, squared norm beyond float range
+    data = Dataset(x, rng.standard_normal(20))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalFailureError):
+            fit_l1_huber(data, HuberParams(tau=1.0, lam=0.1))

@@ -200,6 +200,14 @@ def test_tuning_grid_validation():
         TuningGrid((1.0,), (1.0,), folds=1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+def test_tuning_grid_rejects_bad_constants(bad):
+    with pytest.raises(ValueError, match="positive and finite"):
+        TuningGrid((bad, 1.0), (1.0,))
+    with pytest.raises(ValueError, match="positive and finite"):
+        TuningGrid((1.0,), (1.0, bad))
+
+
 # --------------------------------------------------------------------- lepski
 
 def test_lepski_grid_contents():
