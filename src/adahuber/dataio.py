@@ -6,10 +6,12 @@ reloads to exactly the same float64 values.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 
@@ -33,43 +35,118 @@ def _json_value(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
-def read_table(path: str, delimiter: str = ","):
-    """Read a headed CSV of reals into (header, n-by-k float matrix).
+# bytes per read of the pre-parse scan
+_CHUNK = 1 << 20
 
-    Header names are stripped of surrounding blanks.  A ragged row, a cell
-    that does not parse as a decimal real, or a non-finite cell aborts the
-    read with its row number (the header is row 1) and column name.
+
+def _scan(path: str):
+    """One pass over the raw bytes of ``path``: the number of lines and
+    whether any byte is a double quote.
+
+    A line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as both body parsers
+    split them.  The first byte that is not UTF-8 raises CsvFormatError with
+    its offset in the file.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    breaks = offset = 0
+    quoted = False
+    last = b""
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(_CHUNK)
+            pending = len(decoder.getstate()[0])
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                raise CsvFormatError(
+                    f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+                    f"at offset {offset - pending + exc.start} ({exc.reason})"
+                ) from None
+            if not chunk:
+                break
+            breaks += chunk.count(b"\n")
+            if b"\r" in chunk:
+                breaks += chunk.count(b"\r") - chunk.count(b"\r\n")
+            if last == b"\r" and chunk.startswith(b"\n"):
+                breaks -= 1  # a \r\n split across two reads
+            quoted = quoted or b'"' in chunk
+            offset += len(chunk)
+            last = chunk[-1:]
+    return breaks + (last not in (b"", b"\n", b"\r")), quoted
+
+
+def _loadtxt_body(path: str, delimiter: str, shape):
+    """The body (every line after the header) parsed by numpy's C reader,
+    or None unless it is a float matrix of exactly ``shape``.
+
+    loadtxt skips blank lines, which the row parser rejects, and refuses
+    some cells that ``float`` accepts (``1_0``, non-ASCII digits); the
+    shape check and the fallback on ValueError hand both to the row parser.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            matrix = np.loadtxt(path, delimiter=delimiter, comments=None,
+                                skiprows=1, ndmin=2, dtype=np.float64,
+                                encoding="utf-8")
+    except ValueError:
+        return None
+    return matrix if matrix.shape == shape else None
+
+
+def _parse_rows(path: str, reader, header: list) -> np.ndarray:
+    """The rows left in ``reader`` parsed one by one with ``float``."""
+    rows = []
+    for rownum, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise CsvFormatError(
+                f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}"
+            )
+        try:
+            rows.append(list(map(float, row)))
+        except ValueError:
+            for col, cell in zip(header, row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise CsvFormatError(
+                        f"{path}: row {rownum}, column {col!r}: "
+                        f"cannot parse {cell.strip()!r} as a real number"
+                    ) from None
+    return np.array(rows)
+
+
+def read_table(path: str, delimiter: str = ","):
+    """Read a headed UTF-8 CSV of reals into (header, n-by-k float matrix).
+
+    Header names are stripped of surrounding blanks, and a leading byte-order
+    mark is dropped.  A ragged row, a cell that does not parse as a decimal
+    real, or a non-finite cell aborts the read with its row number (the
+    header is row 1) and column name.  A body without quotes is parsed by
+    numpy's C reader; anything it does not accept goes through the row
+    parser, which gives every error message.
     """
     if len(delimiter) != 1:
         raise CsvFormatError(f"delimiter must be a single character, got {delimiter!r}")
+    if delimiter in '"\r\n':
+        raise CsvFormatError(
+            f"delimiter {delimiter!r} cannot separate fields: it quotes or ends a line")
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    lines, quoted = _scan(path)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise CsvFormatError(f"{path}: empty file, header row required") from None
-        rows = []
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise CsvFormatError(
-                    f"{path}: row {rownum} has {len(row)} cells, expected {len(header)}"
-                )
-            try:
-                rows.append(list(map(float, row)))
-            except ValueError:
-                for col, cell in zip(header, row):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise CsvFormatError(
-                            f"{path}: row {rownum}, column {col!r}: "
-                            f"cannot parse {cell.strip()!r} as a real number"
-                        ) from None
-    if not rows:
+        matrix = None if quoted else _loadtxt_body(path, delimiter,
+                                                   (lines - 1, len(header)))
+        if matrix is None:
+            matrix = _parse_rows(path, reader, header)
+    if not len(matrix):
         raise CsvFormatError(f"{path}: no data rows")
-    matrix = np.array(rows)
     bad = np.argwhere(~np.isfinite(matrix))
     if bad.size:
         i, j = bad[0]
