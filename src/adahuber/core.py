@@ -8,6 +8,7 @@ Non-finite inputs are rejected eagerly instead of being propagated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,6 +51,9 @@ class Dataset:
     With ``intercept=True`` a constant-1 column is appended to the working
     design; the corresponding coefficient is never penalized and never
     truncated.  ``column_names`` optionally names the d covariates.
+
+    ``design``, ``gram`` and ``gram_evals`` are computed once and cached, so
+    treat ``x`` and ``y`` as read-only after construction.
     """
 
     x: np.ndarray
@@ -96,6 +100,16 @@ class Dataset:
         if self.intercept:
             return np.column_stack([self.x, np.ones(self.n)])
         return self.x
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Gram matrix ``design.T @ design / n`` of the working design."""
+        return self.design.T @ self.design / self.n
+
+    @cached_property
+    def gram_evals(self) -> np.ndarray:
+        """Ascending eigenvalues of ``gram``."""
+        return np.linalg.eigvalsh(self.gram)
 
     @cached_property
     def penalty_mask(self) -> np.ndarray:
@@ -156,6 +170,11 @@ def _hloss_score(r, tau):
 def _mean(v) -> float:
     # np.mean's arithmetic without its Python-level dispatch
     return float(np.add.reduce(v)) / v.shape[0]
+
+
+def _norm(v) -> float:
+    # np.linalg.norm's arithmetic for a real vector without its dispatch
+    return math.sqrt(float(v @ v))
 
 
 def _soft_threshold(v, kappa):

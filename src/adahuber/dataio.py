@@ -139,12 +139,15 @@ def read_table(path: str, delimiter: str = ","):
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = [h.strip() for h in next(reader)]
+            matrix = None if quoted else _loadtxt_body(path, delimiter,
+                                                       (lines - 1, len(header)))
+            if matrix is None:
+                matrix = _parse_rows(path, reader, header)
         except StopIteration:
             raise CsvFormatError(f"{path}: empty file, header row required") from None
-        matrix = None if quoted else _loadtxt_body(path, delimiter,
-                                                   (lines - 1, len(header)))
-        if matrix is None:
-            matrix = _parse_rows(path, reader, header)
+        except csv.Error as exc:
+            # e.g. a cell longer than csv.field_size_limit()
+            raise CsvFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not len(matrix):
         raise CsvFormatError(f"{path}: no data rows")
     bad = np.argwhere(~np.isfinite(matrix))

@@ -3,6 +3,7 @@ plus an ordinary least squares baseline."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,7 @@ from .core import (
     _check_tau,
     _hloss_score,
     _mean,
+    _norm,
     _weight,
 )
 
@@ -92,16 +94,16 @@ def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def fit_ols(data: Dataset) -> FitResult:
     """Ordinary least squares via the normal equations."""
     design, y, n = data.design, data.y, data.n
-    gram = design.T @ design / n
-    beta = solve_spd(gram, design.T @ y / n)
+    _check_rank(data.gram_evals)
+    beta = np.linalg.solve(data.gram, design.T @ y / n)
     resid = y - design @ beta
     grad = -(design.T @ resid) / n
     return FitResult(
         beta=beta,
         iterations=1,
         converged=True,
-        objective=0.5 * float(np.mean(resid**2)),
-        grad_norm=float(np.linalg.norm(grad)),
+        objective=0.5 * _mean(resid**2),
+        grad_norm=_norm(grad),
         stop_reason="converged",
     )
 
@@ -132,7 +134,13 @@ def _irls(data: Dataset, tau: float, cfg: SolverConfig,
           beta: np.ndarray) -> FitResult:
     """The ``fit_huber`` sweeps from the start ``beta`` at a checked tau."""
     design, y, n = data.design, data.y, data.n
-    grad_tol = 1e-6 * (1.0 + float(np.linalg.norm(y)))
+    # With 0 < w <= 1, min(w) * gram <= X'WX/n <= gram, so cond(X'WX) is at
+    # most cond(gram) / min(w).  A sweep whose min(w) clears ``w_floor``
+    # would pass solve_spd's rank check and solves directly; the factor 2
+    # absorbs eigvalsh's rounding (about p * eps * lambda_max).
+    lo, hi = float(data.gram_evals[0]), float(data.gram_evals[-1])
+    w_floor = 2 * _RANK_EPS * hi / lo if lo > 0 else math.inf
+    grad_tol = 1e-6 * (1.0 + _norm(y))
     resid = y - design @ beta
     loss, psi = _hloss_score(resid, tau)
     traj = [_mean(loss)]
@@ -142,19 +150,23 @@ def _irls(data: Dataset, tau: float, cfg: SolverConfig,
     for _ in range(cfg.max_iter):
         w = _weight(resid, tau)
         gram = (design * w[:, None]).T @ design / n
-        beta_new = solve_spd(gram, design.T @ (w * y) / n)
-        step = float(np.linalg.norm(beta_new - beta))
+        rhs = design.T @ (w * y) / n
+        if np.minimum.reduce(w) > w_floor:
+            beta_new = np.linalg.solve(gram, rhs)
+        else:
+            beta_new = solve_spd(gram, rhs)
+        step = _norm(beta_new - beta)
         beta = beta_new
         iterations += 1
         resid = y - design @ beta
         loss, psi = _hloss_score(resid, tau)
         traj.append(_mean(loss))
-        if step <= cfg.tol and np.linalg.norm(design.T @ psi / n) <= grad_tol:
+        if step <= cfg.tol and _norm(design.T @ psi / n) <= grad_tol:
             converged = True
             break
 
     # the gradient is -design.T @ psi / n; its sign does not change the norm
-    grad_norm = float(np.linalg.norm(design.T @ psi / n))
+    grad_norm = _norm(design.T @ psi / n)
     return FitResult(
         beta=beta,
         iterations=iterations,

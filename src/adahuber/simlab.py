@@ -419,7 +419,7 @@ def check_bias_decay(
     raw, _ = gen_linear_data(spec)
     data = Dataset(raw.x, raw.y, intercept=True)
     target = np.append(beta, 0.0)
-    gram_inv = np.linalg.inv(data.design.T @ data.design / data.n)
+    gram_inv = np.linalg.inv(data.gram)
 
     rows = []
     for tau in tau_grid:

@@ -16,6 +16,7 @@ from .core import (
     DegenerateSampleError,
     HuberParams,
     RankDeficientError,
+    _mean,
     predict,
 )
 from .irls import IRLS_DEFAULTS, _check_rank, _irls, _start, fit_huber, fit_ols
@@ -151,7 +152,7 @@ def cross_validate(
         else:
             fit = _irls(trains[k], params.tau, IRLS_DEFAULTS, starts[k])
         pred = predict(fit.beta, data.x[blocks[k]], data.intercept)
-        value = float(np.mean(np.abs(data.y[blocks[k]] - pred)))
+        value = _mean(np.abs(data.y[blocks[k]] - pred))
         fold_cache[key] = value
         return value
 
@@ -247,8 +248,7 @@ def lepski_select(data: Dataset, K: float = 3.0, a: float = 1.5):
         raise RankDeficientError(
             f"need more rows ({n}) than coefficients ({p})"
         )
-    gram = design.T @ design / n
-    evals, vecs = np.linalg.eigh(gram)
+    evals, vecs = np.linalg.eigh(data.gram)
     _check_rank(evals)
     root = (vecs * np.sqrt(evals)) @ vecs.T
     inv_root = (vecs / np.sqrt(evals)) @ vecs.T

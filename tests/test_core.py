@@ -15,6 +15,7 @@ from adahuber.core import (
     predict,
     soft_threshold,
     truncate_matrix,
+    _norm,
     _weight,
 )
 
@@ -297,3 +298,12 @@ def test_predict_with_intercept():
     assert np.allclose(predict(beta, x, intercept=True), [3.0, 5.0])
     with pytest.raises(ValueError):
         predict(beta, np.ones((2, 2)), intercept=True)
+
+
+def test_norm_is_bitwise_np_linalg_norm(rng):
+    vectors = [rng.standard_normal(m) * 10.0 ** rng.uniform(-100, 100)
+               for m in (2, 3, 6, 17, 100, 1001)]
+    vectors += [np.zeros(5), np.zeros(1), np.array([-3.5]), np.array([1e-300])]
+    for v in vectors:
+        assert _norm(v) == np.linalg.norm(v)
+        assert isinstance(_norm(v), float)

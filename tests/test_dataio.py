@@ -139,3 +139,21 @@ def test_cli_refuses_quote_delimiter(tmp_path, capsys):
     assert main(["fit", "--input", str(path), "--response", "y",
                  "--delimiter", '"']) == 1
     assert "delimiter '\"' cannot separate fields" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,line", [
+    ('y,x1\n1,2\n"3",' + "1" * 140_000 + "\n", 3),
+    ('"y' + "a" * 140_000 + '",x1\n1,2\n', 1),
+])
+@pytest.mark.parametrize("command", [["diagnose"], ["fit", "--response", "y"]])
+def test_oversized_quoted_cell_is_a_format_error(tmp_path, capsys, text, line,
+                                                 command):
+    # csv's field_size_limit is 131,072 characters
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(CsvFormatError, match=f"line {line}: field larger"):
+        read_table(str(path))
+    assert main(command + ["--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"adahuber: error: {path}: line {line}: field larger")
+    assert "Traceback" not in err

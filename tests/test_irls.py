@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from adahuber.core import Dataset, RankDeficientError
-from adahuber.irls import SolverConfig, fit_huber, fit_ols
+from adahuber import irls
+from adahuber.core import (
+    Dataset,
+    RankDeficientError,
+    _hloss_score,
+    _mean,
+    _weight,
+)
+from adahuber.irls import IRLS_DEFAULTS, SolverConfig, fit_huber, fit_ols, solve_spd
 
 
 def golden_section_1d(f, lo, hi, tol=1e-10):
@@ -172,3 +180,118 @@ def test_huber_gradient_small_at_solution(rng):
     fit = fit_huber(Dataset(x, y), 1.0)
     assert fit.converged
     assert fit.grad_norm <= 1e-6 * (1 + np.linalg.norm(y))
+
+
+def test_fit_huber_takes_one_spectrum_per_dataset(rng, eigvalsh_calls):
+    x = rng.standard_normal((80, 4))
+    y = x @ np.array([1.0, 0.0, -2.0, 0.5]) + rng.standard_t(2.0, 80)
+    fit = fit_huber(Dataset(x, y, intercept=True), 1.0)
+    assert fit.converged and fit.iterations > 1
+    assert len(eigvalsh_calls) == 1
+
+
+# ------------------------------------------------- sweep against exact checks
+
+def exact_check_fit_huber(data, tau, cfg=IRLS_DEFAULTS):
+    """Oracle: OLS start and IRLS sweeps with solve_spd's eigenvalue rank
+    check on every solve; returns the fields of fit_huber's FitResult."""
+    design, y, n = data.design, data.y, data.n
+    try:
+        beta = solve_spd(design.T @ design / n, design.T @ y / n)
+    except RankDeficientError:
+        beta = np.zeros(data.p)
+    grad_tol = 1e-6 * (1.0 + float(np.linalg.norm(y)))
+    resid = y - design @ beta
+    loss, psi = _hloss_score(resid, tau)
+    traj = [_mean(loss)]
+    converged = False
+    iterations = 0
+    for _ in range(cfg.max_iter):
+        w = _weight(resid, tau)
+        gram = (design * w[:, None]).T @ design / n
+        beta_new = solve_spd(gram, design.T @ (w * y) / n)
+        step = float(np.linalg.norm(beta_new - beta))
+        beta = beta_new
+        iterations += 1
+        resid = y - design @ beta
+        loss, psi = _hloss_score(resid, tau)
+        traj.append(_mean(loss))
+        if step <= cfg.tol and np.linalg.norm(design.T @ psi / n) <= grad_tol:
+            converged = True
+            break
+    grad_norm = float(np.linalg.norm(design.T @ psi / n))
+    return beta, iterations, converged, traj[-1], grad_norm, tuple(traj)
+
+
+@st.composite
+def irls_cases(draw):
+    d = draw(st.integers(1, 4))
+    return dict(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        n=draw(st.integers(8, 60)),
+        scales=draw(st.lists(st.floats(-6, 6), min_size=d, max_size=d)),
+        # log10 of the relative gap of the last column from the first
+        collinear=draw(st.none() | st.floats(-15, -2)),
+        outliers=draw(st.integers(0, 3)),
+        outlier_size=draw(st.floats(2, 12)),
+        intercept=draw(st.booleans()),
+        log_tau=draw(st.floats(-2, 2)),
+    )
+
+
+def irls_case_data(case):
+    rng = np.random.default_rng(case["seed"])
+    n, scales = case["n"], 10.0 ** np.asarray(case["scales"])
+    x = rng.standard_normal((n, len(scales))) * scales
+    if case["collinear"] is not None and len(scales) >= 2:
+        x[:, -1] = (x[:, 0] + 10.0 ** case["collinear"] * scales[0]
+                    * rng.standard_normal(n)) * scales[-1] / scales[0]
+    y = x @ (rng.standard_normal(len(scales)) / scales) + rng.standard_t(2.0, n)
+    y[: case["outliers"]] += 10.0 ** case["outlier_size"] * rng.choice(
+        [-1.0, 1.0], case["outliers"])
+    return Dataset(x, y, intercept=case["intercept"]), 10.0 ** case["log_tau"]
+
+
+WELL_POSED = dict(seed=1, n=50, scales=[0.0, 1.0], collinear=None, outliers=0,
+                  outlier_size=2.0, intercept=True, log_tau=0.0)
+# near-collinear columns and a huge outlier: the bound fails, the check passes
+EXACT_ONLY = dict(seed=2, n=50, scales=[0.0, 0.0], collinear=-4.0, outliers=1,
+                  outlier_size=10.0, intercept=False, log_tau=0.0)
+
+
+def test_sweep_matches_the_exact_check_oracle(monkeypatch):
+    real, solves = irls.solve_spd, []
+
+    def counted(gram, rhs):
+        solves.append(gram)
+        return real(gram, rhs)
+
+    monkeypatch.setattr(irls, "solve_spd", counted)
+    sweeps = {"certified": 0, "exact": 0}
+
+    @given(irls_cases())
+    @example(WELL_POSED)
+    @example(EXACT_ONLY)
+    def check(case):
+        data, tau = irls_case_data(case)
+        try:
+            want = exact_check_fit_huber(data, tau)
+        except RankDeficientError as exc:
+            want = str(exc)
+        solves.clear()
+        try:
+            fit = fit_huber(data, tau)
+        except RankDeficientError as exc:
+            assert str(exc) == want
+            sweeps["exact"] += len(solves)
+            return
+        beta, iterations, converged, obj, grad_norm, traj = want
+        assert fit.beta.tobytes() == beta.tobytes()
+        assert (fit.iterations, fit.converged) == (iterations, converged)
+        assert (np.array([fit.objective, fit.grad_norm, *fit.trajectory]).tobytes()
+                == np.array([obj, grad_norm, *traj]).tobytes())
+        sweeps["exact"] += len(solves)
+        sweeps["certified"] += fit.iterations - len(solves)
+
+    check()
+    assert sweeps["certified"] > 0 and sweeps["exact"] > 0

@@ -143,6 +143,13 @@ def test_table1_thread_count_invariance():
     assert a.summary == b.summary
 
 
+def test_table1_takes_one_spectrum_per_dataset(eigvalsh_calls):
+    run_table1(reps=2, seed=5, threads=1)
+    # per replication: the full data, shared by the OLS row and the CV refit,
+    # and each fold's training set
+    assert len(eigvalsh_calls) == 2 * len(simlab.TABLE1_NOISES) * (simlab.TABLE1_GRID.folds + 1)
+
+
 def test_table1_raises_errors_outside_the_library_families(monkeypatch):
     # a bug (here a TypeError) must surface instead of becoming a NaN row
     def broken(data):

@@ -7,6 +7,13 @@ from adahuber import irls, tuning
 from adahuber.core import Dataset, DegenerateSampleError, RankDeficientError
 from adahuber.irls import fit_huber
 from adahuber.lamm import fit_l1_huber
+from adahuber.simlab import (
+    TABLE1_GRID,
+    TABLE1_NOISES,
+    ExperimentSpec,
+    default_beta_star,
+    gen_linear_data,
+)
 from adahuber.core import HuberParams
 from adahuber.tuning import (
     LepskiGrid,
@@ -164,6 +171,16 @@ def test_cv_low_dim_fits_each_fold_start_once(rng, monkeypatch):
     cross_validate(data, grid, seed=2)
     # one start per fold, shared by every c_tau, plus the full-data refit
     assert len(calls) == grid.folds + 1
+
+
+def test_cv_low_dim_takes_one_spectrum_per_dataset(eigvalsh_calls):
+    spec = ExperimentSpec(100, 5, default_beta_star(5), TABLE1_NOISES[0], seed=4)
+    raw, _ = gen_linear_data(spec, rep=(0, 0))
+    data = Dataset(raw.x, raw.y, intercept=True)
+    cross_validate(data, TABLE1_GRID, high_dim=False, seed=4)
+    # one per fold Dataset, shared by its start and every c_tau; one for the
+    # full data; no sweep falls back to solve_spd's own check
+    assert len(eigvalsh_calls) == TABLE1_GRID.folds + 1
 
 
 def test_cv_cell_with_an_infinite_tau_fails(rng):
