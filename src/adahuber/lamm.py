@@ -1,8 +1,9 @@
 """l1-regularized Huber regression via local adaptive majorize-minimization:
 a quadratic surrogate with curvature phi * s_j on coordinate j, where
-s_j = ||x_j||^2 / n, with phi inflated until it locally majorizes the loss;
-soft-threshold update; safeguarded, restarted FISTA momentum; and cyclic
-coordinate sweeps at curvature s_j for fits that stall at the float floor."""
+s_j = ||x_j||^2 / n, with phi starting at 1 and only ever inflated until it
+locally majorizes the loss; soft-threshold update; safeguarded, restarted
+FISTA momentum; and cyclic coordinate sweeps at curvature s_j for fits that
+stall at the float floor."""
 
 from __future__ import annotations
 
@@ -28,10 +29,8 @@ from .irls import LAMM_DEFAULTS, FitResult, SolverConfig
 _MAJORIZE_SLACK = 1e-12
 _PHI_OVERFLOW = 1e300
 
-# Floor and starting value of the multiplier phi on the column curvatures s_j,
-# and the factor by which phi inflates while the surrogate fails and warms down
-# per step.
-PHI0 = 1e-4
+# Factor by which the multiplier phi on the column curvatures s_j inflates
+# while the surrogate fails to majorize; phi starts at 1 and never decreases.
 GAMMA_U = 2.0
 
 # Stationarity tolerance guaranteed for returned solutions.
@@ -115,11 +114,13 @@ def fit_l1_huber(
     """Solve the l1-penalized Huber problem by monotone accelerated LAMM.
 
     Coordinate j of the surrogate has curvature phi * s_j (``_scale``).  From
-    zero, each iteration warms phi down by one GAMMA_U (never below PHI0) and
-    inflates it until the surrogate at the extrapolated point z majorizes the
-    loss at the candidate u.  The MFISTA safeguard keeps u only if the
-    penalized objective does not rise, so the trajectory never increases; z
-    then takes the FISTA momentum step, or restarts at beta after a rejection.
+    zero, phi starts at 1, where the surrogate majorizes the loss along any
+    one coordinate exactly (psi' <= 1), and is never lowered: each iteration
+    keeps the last phi and multiplies it by GAMMA_U until the surrogate at the
+    extrapolated point z majorizes the loss at the candidate u.  The MFISTA
+    safeguard keeps u only if the penalized objective does not rise, so the
+    trajectory never increases; z then takes the FISTA momentum step, or
+    restarts at beta after a rejection.
     Converges once an accepted step is at most ``cfg.tol`` and the KKT check
     passes at ``min(KKT_TOL, cfg.tol)``; stops with "no_descent" at the float
     floor, where a step without momentum no longer lowers the objective.  A
@@ -144,11 +145,10 @@ def fit_l1_huber(
     # combination of fresh ones, so no drift builds up)
     beta, r_beta = np.zeros(data.p), y
     f_beta = _mean(_hloss_score(y, tau)[0])
-    z, r_z, t, phi, grad = beta, y, 1.0, PHI0, None
+    z, r_z, t, phi, grad = beta, y, 1.0, 1.0, None
     traj, converged, stop_reason = [f_beta], False, "max_iter"
     for _ in range(cfg.max_iter):
         loss_z, grad_z = loss_grad(r_z)
-        phi = max(PHI0, phi / GAMMA_U)
         for inner in itertools.count(1):
             u = _step(z, grad_z, lam, phi * scale, data.intercept)
             r_u = y - design @ u

@@ -38,22 +38,16 @@ def predict_truncated(beta, x, varpi, intercept: bool = False) -> np.ndarray:
 
 
 def default_truncation_params(
-    n: int,
-    d: int,
-    s_guess: int | None = None,
-    c_tau: float = 1.0,
-    c_varpi: float = 1.0,
-    c_lambda: float = 1.0,
+    n: int, d: int, s_guess: int | None = None
 ) -> HuberParams:
     """Parameter scalings for the truncated-covariate estimator.
 
-    tau   = c_tau * sqrt(s_guess) * (n / log d)^(1/4)
-    varpi = c_varpi * (n / log d)^(1/4)
-    lam   = c_lambda * sqrt(s_guess * log(d) / n)
+    tau   = sqrt(s_guess) * (n / log d)^(1/4)
+    varpi = (n / log d)^(1/4)
+    lam   = sqrt(s_guess * log(d) / n)
 
     ``s_guess`` stands in for the unknown sparsity; it defaults to
-    ceil(sqrt(d)), and cross-validation over the c-constants absorbs
-    misspecification.
+    ceil(sqrt(d)).
     """
     if d < 2:
         raise ValueError("d must be at least 2 so that log d is positive")
@@ -65,7 +59,7 @@ def default_truncation_params(
         raise ValueError("s_guess must be a positive integer")
     ratio = effective_sample_size(n, d, True)
     return HuberParams(
-        tau=c_tau * math.sqrt(s_guess) * ratio**0.25,
-        lam=c_lambda * math.sqrt(s_guess * math.log(d) / n),
-        varpi=c_varpi * ratio**0.25,
+        tau=math.sqrt(s_guess) * ratio**0.25,
+        lam=math.sqrt(s_guess * math.log(d) / n),
+        varpi=ratio**0.25,
     )

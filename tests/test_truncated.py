@@ -74,8 +74,7 @@ def test_zero_solution_under_dominating_lambda(rng):
 
 def test_default_truncation_params_formulas():
     for n, d, s in ((100, 20, 3), (873, 55, 4), (50, 8, 1)):
-        got = default_truncation_params(n, d, s_guess=s, c_tau=1.0,
-                                        c_varpi=1.0, c_lambda=1.0)
+        got = default_truncation_params(n, d, s_guess=s)
         ratio = n / math.log(d)
         assert got.tau == pytest.approx(math.sqrt(s) * ratio**0.25, rel=1e-12)
         assert got.varpi == pytest.approx(ratio**0.25, rel=1e-12)
