@@ -39,6 +39,21 @@ def _check_tau(tau):
     return tau
 
 
+# Relative eigenvalue floor below which a Gram matrix is treated as singular.
+_RANK_EPS = 1e-12
+
+
+def _check_rank(evals: np.ndarray) -> None:
+    """Reject a Gram matrix, given its ascending eigenvalues, whose smallest
+    eigenvalue is not above ``_RANK_EPS`` times its largest."""
+    lo, hi = float(evals[0]), float(evals[-1])
+    if hi <= 0 or lo <= _RANK_EPS * hi:
+        cond = np.inf if lo <= 0 else hi / lo
+        raise RankDeficientError(
+            f"gram matrix is numerically singular (condition number {cond:.3e})"
+        )
+
+
 def _check_finite(a, name):
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} must contain only finite values")
@@ -52,8 +67,8 @@ class Dataset:
     design; the corresponding coefficient is never penalized and never
     truncated.  ``column_names`` optionally names the d covariates.
 
-    ``design``, ``gram`` and ``gram_evals`` are computed once and cached, so
-    treat ``x`` and ``y`` as read-only after construction.
+    ``design``, ``gram``, ``gram_evals`` and ``ols_beta`` are computed once
+    and cached, so treat ``x`` and ``y`` as read-only after construction.
     """
 
     x: np.ndarray
@@ -110,6 +125,14 @@ class Dataset:
     def gram_evals(self) -> np.ndarray:
         """Ascending eigenvalues of ``gram``."""
         return np.linalg.eigvalsh(self.gram)
+
+    @cached_property
+    def ols_beta(self) -> np.ndarray:
+        """Read-only OLS coefficients; RankDeficientError if gram is singular."""
+        _check_rank(self.gram_evals)
+        beta = np.linalg.solve(self.gram, self.design.T @ self.y / self.n)
+        beta.flags.writeable = False
+        return beta
 
     @cached_property
     def penalty_mask(self) -> np.ndarray:

@@ -9,18 +9,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _RANK_EPS,
     Dataset,
     RankDeficientError,
+    _check_rank,
     _check_tau,
     _hloss_score,
     _mean,
     _norm,
     _weight,
 )
-
-# Relative eigenvalue floor below which a Gram matrix is treated as singular.
-_RANK_EPS = 1e-12
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -74,17 +72,6 @@ class FitResult:
     inner_total: int | None = None
 
 
-def _check_rank(evals: np.ndarray) -> None:
-    """Reject a Gram matrix, given its ascending eigenvalues, whose smallest
-    eigenvalue is not above ``_RANK_EPS`` times its largest."""
-    lo, hi = float(evals[0]), float(evals[-1])
-    if hi <= 0 or lo <= _RANK_EPS * hi:
-        cond = np.inf if lo <= 0 else hi / lo
-        raise RankDeficientError(
-            f"gram matrix is numerically singular (condition number {cond:.3e})"
-        )
-
-
 def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve a symmetric positive-definite system, rejecting singular input."""
     _check_rank(np.linalg.eigvalsh(gram))
@@ -92,10 +79,9 @@ def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def fit_ols(data: Dataset) -> FitResult:
-    """Ordinary least squares via the normal equations."""
+    """Ordinary least squares via the normal equations (``data.ols_beta``)."""
     design, y, n = data.design, data.y, data.n
-    _check_rank(data.gram_evals)
-    beta = np.linalg.solve(data.gram, design.T @ y / n)
+    beta = data.ols_beta.copy()
     resid = y - design @ beta
     grad = -(design.T @ resid) / n
     return FitResult(
@@ -113,26 +99,19 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
 
     Each sweep solves the weighted normal equations with weights
     ``irls_weight(residual, tau)``; this majorizes the Huber objective, so the
-    recorded loss trajectory is nonincreasing.  Warm-started at the OLS
-    solution (zero vector if OLS is rank-deficient).  Stops once the
-    coefficient change drops below ``cfg.tol`` and the gradient is small.
+    recorded loss trajectory is nonincreasing.  Warm-started at the cached
+    OLS solution ``data.ols_beta`` (zero vector if OLS is rank-deficient).
+    Stops once the coefficient change drops below ``cfg.tol`` and the
+    gradient is small.
     Each sweep forms the residuals once; they give the recorded loss, the
     gradient and the next sweep's weights.
     """
-    return _irls(data, _check_tau(tau), cfg or IRLS_DEFAULTS, _start(data))
-
-
-def _start(data: Dataset) -> np.ndarray:
-    """The IRLS start: the OLS fit, or zeros when OLS is rank-deficient."""
+    tau = _check_tau(tau)
+    cfg = cfg or IRLS_DEFAULTS
     try:
-        return fit_ols(data).beta
+        beta = data.ols_beta
     except RankDeficientError:
-        return np.zeros(data.p)
-
-
-def _irls(data: Dataset, tau: float, cfg: SolverConfig,
-          beta: np.ndarray) -> FitResult:
-    """The ``fit_huber`` sweeps from the start ``beta`` at a checked tau."""
+        beta = np.zeros(data.p)
     design, y, n = data.design, data.y, data.n
     # With 0 < w <= 1, min(w) * gram <= X'WX/n <= gram, so cond(X'WX) is at
     # most cond(gram) / min(w).  A sweep whose min(w) clears ``w_floor``

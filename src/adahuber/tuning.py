@@ -19,7 +19,7 @@ from .core import (
     _mean,
     predict,
 )
-from .irls import IRLS_DEFAULTS, _check_rank, _irls, _start, fit_huber, fit_ols
+from .irls import fit_huber, fit_ols
 from .lamm import fit_l1_huber
 
 
@@ -138,8 +138,7 @@ def cross_validate(
               for k in range(grid.folds)]
     # In the unpenalized (low-dimensional) branch the fit depends only on
     # c_tau, so fold fits are cached across the c_lambda axis, and every
-    # c_tau starts from the fold's one IRLS start.
-    starts = None if high_dim else [_start(sub) for sub in trains]
+    # c_tau starts from the fold's one cached OLS solution.
     fold_cache: dict = {}
 
     def fold_mae(c_tau, c_lambda, k):
@@ -150,7 +149,7 @@ def cross_validate(
         if high_dim:
             fit = fit_l1_huber(trains[k], params)
         else:
-            fit = _irls(trains[k], params.tau, IRLS_DEFAULTS, starts[k])
+            fit = fit_huber(trains[k], params.tau)
         pred = predict(fit.beta, data.x[blocks[k]], data.intercept)
         value = _mean(np.abs(data.y[blocks[k]] - pred))
         fold_cache[key] = value
@@ -248,21 +247,19 @@ def lepski_select(data: Dataset, K: float = 3.0, a: float = 1.5):
         raise RankDeficientError(
             f"need more rows ({n}) than coefficients ({p})"
         )
+    ols = fit_ols(data)  # rejects a singular gram before eigh's roots
     evals, vecs = np.linalg.eigh(data.gram)
-    _check_rank(evals)
     root = (vecs * np.sqrt(evals)) @ vecs.T
     inv_root = (vecs / np.sqrt(evals)) @ vecs.T
     l_tilde = float(np.max(np.abs(design @ inv_root)))
 
     t = math.log(n)
-    ols = fit_ols(data)
     rss = float(np.sum((y - design @ ols.beta) ** 2))
     sigma_hat = math.sqrt(rss / (n - p))
 
     sigmas = np.asarray(LepskiGrid(sigma_hat / K, K * sigma_hat, a).grid)
     taus = sigmas * math.sqrt(n / t)
-    # every grid fit starts from the one OLS fit above
-    fits = [_irls(data, float(tau), IRLS_DEFAULTS, ols.beta) for tau in taus]
+    fits = [fit_huber(data, tau) for tau in taus]
 
     m = len(fits)
     distances = np.zeros((m, m))

@@ -2,6 +2,8 @@ import hypothesis
 import numpy as np
 import pytest
 
+from adahuber.core import Dataset
+
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=100
 )
@@ -23,4 +25,19 @@ def eigvalsh_calls(monkeypatch):
         return real(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+@pytest.fixture
+def ols_solves(monkeypatch):
+    """The Datasets that solve for their cached ``ols_beta`` while the test
+    runs, one entry per solve."""
+    prop = Dataset.__dict__["ols_beta"]
+    real, calls = prop.func, []
+
+    def counted(data):
+        calls.append(data)
+        return real(data)
+
+    monkeypatch.setattr(prop, "func", counted)
     return calls

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -65,6 +67,19 @@ def test_ols_rank_deficient_names_condition_number():
     x = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
     with pytest.raises(RankDeficientError, match="condition number"):
         fit_ols(Dataset(x, np.array([1.0, 2.0, 3.0])))
+
+
+def test_ols_cache_cannot_be_corrupted(rng):
+    x = rng.standard_normal((80, 3))
+    y = x @ np.array([1.0, -2.0, 0.5]) + rng.standard_t(2.0, 80)
+    data = Dataset(x, y, intercept=True)
+    with pytest.raises(ValueError, match="read-only"):
+        data.ols_beta[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.ols_beta = np.zeros(data.p)
+    fit_ols(data).beta[:] = 1e6
+    fresh = Dataset(x, y, intercept=True)
+    assert fit_huber(data, 1.0).beta.tobytes() == fit_huber(fresh, 1.0).beta.tobytes()
 
 
 # --------------------------------------------------------------------- huber

@@ -150,6 +150,12 @@ def test_table1_takes_one_spectrum_per_dataset(eigvalsh_calls):
     assert len(eigvalsh_calls) == 2 * len(simlab.TABLE1_NOISES) * (simlab.TABLE1_GRID.folds + 1)
 
 
+def test_table1_solves_ols_once_per_dataset(ols_solves):
+    run_table1(reps=2, seed=5, threads=1)
+    # the OLS row and the CV refit share the full data's solve
+    assert len(ols_solves) == 2 * len(simlab.TABLE1_NOISES) * (simlab.TABLE1_GRID.folds + 1)
+
+
 def test_table1_raises_errors_outside_the_library_families(monkeypatch):
     # a bug (here a TypeError) must surface instead of becoming a NaN row
     def broken(data):

@@ -157,20 +157,30 @@ def test_cv_folds_exceeding_n(rng):
         cross_validate(data, grid)
 
 
-def test_cv_low_dim_fits_each_fold_start_once(rng, monkeypatch):
-    real, calls = irls.fit_ols, []
-
-    def counted(data):
-        calls.append(data)
-        return real(data)
-
-    monkeypatch.setattr(irls, "fit_ols", counted)
-    monkeypatch.setattr(tuning, "fit_ols", counted)
+def test_cv_low_dim_fits_each_fold_start_once(rng, ols_solves):
     data, _ = make_sparse_instance(rng, n=60, d=6, noise=1.0)
     grid = TuningGrid((0.5, 1.0, 1.5), (0.5, 1.0), folds=4)
     cross_validate(data, grid, seed=2)
-    # one start per fold, shared by every c_tau, plus the full-data refit
-    assert len(calls) == grid.folds + 1
+    # one OLS solve per fold, shared by every c_tau, plus the full-data refit
+    assert len(ols_solves) == grid.folds + 1
+    assert len({id(sub) for sub in ols_solves}) == len(ols_solves)
+
+
+def test_unpenalized_tuning_fits_go_through_fit_huber(rng, monkeypatch):
+    real, taus = tuning.fit_huber, []
+
+    def counted(data, tau, cfg=None):
+        taus.append(tau)
+        return real(data, tau, cfg)
+
+    monkeypatch.setattr(tuning, "fit_huber", counted)
+    data, _ = make_sparse_instance(rng, n=60, d=6, noise=1.0)
+    grid = TuningGrid((0.5, 1.0, 1.5), (0.5, 1.0), folds=4)
+    cross_validate(data, grid, seed=2)
+    assert len(taus) == grid.folds * len(grid.c_tau_candidates) + 1
+    taus.clear()
+    _, _, diag = lepski_select(data)
+    assert taus == list(diag["taus"])
 
 
 def test_cv_low_dim_takes_one_spectrum_per_dataset(eigvalsh_calls):
