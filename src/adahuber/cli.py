@@ -120,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p_tune)
     p_tune.add_argument("--method", choices=tuple(_TUNE_METHODS), default="cv")
     p_tune.add_argument("--grid", type=_floats, default=None,
-                        help="comma-separated constants for both c_tau and c_lambda")
+                        help="comma-separated constants for c_tau "
+                             "(and c_lambda with --high-dim)")
     p_tune.add_argument("--folds", type=int, default=None)
     p_tune.add_argument("--high-dim", action="store_true", default=None,
                         help="tune the l1-penalized estimator")
@@ -188,20 +189,17 @@ def _coef_records(data: Dataset, beta) -> list:
 
 def _emit_fit(args, data: Dataset, fit, params: HuberParams,
               in_sample_mae: float, tuned: bool) -> int:
-    def cell(value):  # empty where the fit has no such value (IRLS counters)
-        return "" if value is None else value
-
     records = _coef_records(data, fit.beta)
     records += [
         {"key": "tau", "value": params.tau},
         {"key": "lambda", "value": params.lam},
-        {"key": "varpi", "value": cell(params.varpi)},
+        {"key": "varpi", "value": params.varpi},
         {"key": "params_from_data", "value": bool(tuned)},
         {"key": "converged", "value": bool(fit.converged)},
         {"key": "stop_reason", "value": fit.stop_reason},
         {"key": "iterations", "value": int(fit.iterations)},
-        {"key": "matvecs", "value": cell(fit.matvecs)},
-        {"key": "inner_total", "value": cell(fit.inner_total)},
+        {"key": "matvecs", "value": fit.matvecs},
+        {"key": "inner_total", "value": fit.inner_total},
         {"key": "objective", "value": float(fit.objective)},
         {"key": "grad_norm", "value": float(fit.grad_norm)},
         {"key": "mae_in_sample", "value": in_sample_mae},
@@ -252,8 +250,7 @@ def cmd_tune(args) -> int:
     given = _given(args, sum(_TUNE_METHODS.values(), ()))
     _refuse(f"--method {args.method}", given, _TUNE_METHODS[args.method])
     if args.method == "cv":
-        grid = _override(TuningGrid(), c_tau_candidates=args.grid,
-                         c_lambda_candidates=args.grid, folds=args.folds)
+        grid = _override(TuningGrid(), constants=args.grid, folds=args.folds)
         c_tau, c_lambda, fit, table = cross_validate(
             data, grid, **_given(args, ("high_dim", "seed")))
         records = [

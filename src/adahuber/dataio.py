@@ -23,6 +23,8 @@ class CsvFormatError(ValueError):
 
 
 def _fmt(value) -> str:
+    if value is None:  # absent; JSON lines write null
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):

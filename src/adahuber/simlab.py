@@ -190,11 +190,10 @@ TABLE1_NOISES = (
 )
 
 
-# 3-fold CV over these constants for both c_tau and c_lambda: one notch below
-# the usual {0.5, 1, 1.5}, because CV pins the lower boundary under the
-# heaviest noise
+# 3-fold CV over these constants for c_tau: one notch below the usual
+# {0.5, 1, 1.5}, because CV pins the lower boundary under the heaviest noise
 TABLE1_CONSTANTS = (0.25, 0.5, 1.0, 1.5)
-TABLE1_GRID = TuningGrid(TABLE1_CONSTANTS, TABLE1_CONSTANTS, folds=3)
+TABLE1_GRID = TuningGrid(TABLE1_CONSTANTS, folds=3)
 
 
 def run_table1(

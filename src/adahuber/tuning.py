@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import product
 
 import numpy as np
 
@@ -29,21 +30,19 @@ class TuningError(RuntimeError):
 
 @dataclass(frozen=True)
 class TuningGrid:
-    """Cross-validation grid: candidate constants for tau and lam (each
-    positive and finite), and the fold count."""
+    """Cross-validation grid: the candidate constants (each positive and
+    finite) for c_tau, and for c_lambda in high dimensions, and the fold
+    count."""
 
-    c_tau_candidates: tuple = (0.5, 1.0, 1.5)
-    c_lambda_candidates: tuple = (0.5, 1.0, 1.5)
+    constants: tuple = (0.5, 1.0, 1.5)
     folds: int = 3
 
     def __post_init__(self):
-        for name in ("c_tau_candidates", "c_lambda_candidates"):
-            values = getattr(self, name)
-            if len(values) == 0:
-                raise ValueError("candidate lists must be nonempty")
-            if not all(math.isfinite(c) and c > 0 for c in values):
-                raise ValueError(
-                    f"{name} must be positive and finite, got {values!r}")
+        if len(self.constants) == 0:
+            raise ValueError("the constant list must be nonempty")
+        if not all(math.isfinite(c) and c > 0 for c in self.constants):
+            raise ValueError(
+                f"constants must be positive and finite, got {self.constants!r}")
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
 
@@ -115,15 +114,18 @@ def cross_validate(
     high_dim: bool = False,
     seed=0,
 ):
-    """Pick (c_tau, c_lambda) by k-fold cross-validation on held-out MAE,
-    with the plug-in rules at t = log n.
+    """Pick the plug-in constants by k-fold cross-validation on held-out MAE,
+    with the plug-in rules at t = log n.  Low dimensions search c_tau over
+    ``grid.constants``; high dimensions search every (c_tau, c_lambda) pair,
+    because only the l1-penalized fit reads the penalty.
 
     Rows are shuffled once with the given seed and split into contiguous
     blocks.  Ties are broken toward the larger c_tau, then the larger
     c_lambda, so the result does not depend on grid ordering.  Failed cells
     are recorded and skipped; if every cell fails a TuningError is raised.
 
-    Returns (c_tau, c_lambda, refit-on-full-data FitResult, cv_table).
+    Returns (c_tau, c_lambda, refit-on-full-data FitResult, cv_table), with
+    c_lambda None in low dimensions, in the returned pair and in every row.
     """
     grid = grid or TuningGrid()
     n = data.n
@@ -136,55 +138,33 @@ def cross_validate(
     blocks = np.array_split(order, grid.folds)
     trains = [data.subset(np.concatenate(blocks[:k] + blocks[k + 1:]))
               for k in range(grid.folds)]
-    # In the unpenalized (low-dimensional) branch the fit depends only on
-    # c_tau, so fold fits are cached across the c_lambda axis, and every
-    # c_tau starts from the fold's one cached OLS solution.
-    fold_cache: dict = {}
 
-    def fold_mae(c_tau, c_lambda, k):
-        key = (c_tau, k) if not high_dim else (c_tau, c_lambda, k)
-        if key in fold_cache:
-            return fold_cache[key]
-        params = rule(c_tau, c_lambda)
+    def fit(sample, params):
         if high_dim:
-            fit = fit_l1_huber(trains[k], params)
-        else:
-            fit = fit_huber(trains[k], params.tau)
-        pred = predict(fit.beta, data.x[blocks[k]], data.intercept)
-        value = _mean(np.abs(data.y[blocks[k]] - pred))
-        fold_cache[key] = value
-        return value
+            return fit_l1_huber(sample, params)
+        return fit_huber(sample, params.tau)
 
-    table = []
-    for c_tau in grid.c_tau_candidates:
-        for c_lambda in grid.c_lambda_candidates:
-            maes, failed = [], False
-            for k in range(grid.folds):
-                try:
-                    maes.append(fold_mae(c_tau, c_lambda, k))
-                except LIBRARY_ERRORS:
-                    failed = True
-                    break
-            table.append(
-                {
-                    "c_tau": c_tau,
-                    "c_lambda": c_lambda,
-                    "mean_mae": float(np.mean(maes)) if not failed else math.nan,
-                    "fold_maes": tuple(maes) if not failed else (),
-                    "failed": failed,
-                }
-            )
+    def held_out_mae(params):
+        maes = []
+        for train, block in zip(trains, blocks):
+            pred = predict(fit(train, params).beta, data.x[block], data.intercept)
+            maes.append(_mean(np.abs(data.y[block] - pred)))
+        return float(np.mean(maes))
 
-    viable = [row for row in table if not row["failed"]]
-    if not viable:
+    cells = list(product(grid.constants, repeat=2 if high_dim else 1))
+    scores = {}
+    for cell in cells:
+        try:
+            scores[cell] = held_out_mae(rule(*cell))
+        except LIBRARY_ERRORS:
+            pass
+    table = [{"c_tau": cell[0], "c_lambda": cell[1] if high_dim else None,
+              "mean_mae": scores.get(cell, math.nan), "failed": cell not in scores}
+             for cell in cells]
+    if not scores:
         raise TuningError("every cross-validation cell failed")
-    best = min(viable, key=lambda r: (r["mean_mae"], -r["c_tau"], -r["c_lambda"]))
-    params = rule(best["c_tau"], best["c_lambda"])
-    if high_dim:
-        fit = fit_l1_huber(data, params)
-    else:
-        fit = fit_huber(data, params.tau)
-    return best["c_tau"], best["c_lambda"], fit, table
+    best = min(scores, key=lambda cell: (scores[cell], [-c for c in cell]))
+    return best[0], best[1] if high_dim else None, fit(data, rule(*best)), table
 
 
 @dataclass(frozen=True)

@@ -136,6 +136,8 @@ def test_fit_echoes_supplied_tau(toy_csv, tmp_path):
                for l in out.read_text().splitlines()}
     assert records["tau"] == 1.25
     assert records["params_from_data"] is False
+    # absent values are null, where CSV leaves the cell empty
+    assert records["varpi"] is records["matvecs"] is records["inner_total"] is None
 
 
 def test_fit_max_iter_gives_exit_two(tmp_path):
@@ -255,7 +257,7 @@ def test_usage_error_exit_one():
 
 # ----------------------------------------------------------------------- tune
 
-def test_tune_default_grid_has_nine_cells(toy_csv, tmp_path):
+def test_tune_default_grid_has_three_cells(toy_csv, tmp_path):
     out = tmp_path / "tune.csv"
     noisy = np.random.default_rng(2)
     x = noisy.standard_normal(60)
@@ -266,7 +268,7 @@ def test_tune_default_grid_has_nine_cells(toy_csv, tmp_path):
                  "--out", str(out)])
     assert code == 0
     lines = out.read_text().strip().splitlines()
-    assert len(lines) == 10  # header + 9 cells
+    assert len(lines) == 4  # header + one cell per c_tau
     assert sum(line.split(",")[5] == "true" for line in lines[1:]) == 1
 
 
@@ -326,6 +328,23 @@ def test_jsonl_writes_nonfinite_reals_as_null(wide_csv, tmp_path):
     assert ",nan," in csv_out.read_text()
 
 
+def test_low_dim_tune_leaves_c_lambda_absent(wide_csv, tmp_path):
+    rows = {}
+    for fmt in ("csv", "jsonl"):
+        out = tmp_path / f"cv.{fmt}"
+        assert main(["tune", "--input", str(wide_csv), "--response", "y",
+                     "--grid", "0.5,1,2,4", "--format", fmt,
+                     "--out", str(out)]) == 0
+        rows[fmt] = out.read_text().splitlines()
+    header, *cells = rows["csv"]
+    column = header.split(",").index("c_lambda")
+    assert [line.split(",")[column] for line in cells] == [""] * 4
+    records = [json.loads(line) for line in rows["jsonl"]]
+    assert [r["c_tau"] for r in records] == [0.5, 1.0, 2.0, 4.0]
+    assert all(r["c_lambda"] is None for r in records)
+    assert sum(r["selected"] for r in records) == 1
+
+
 def test_write_records_jsonl_nulls_every_nonfinite_real():
     out = io.StringIO()
     dataio.write_records([{"a": math.nan, "b": -math.inf, "c": np.float64(math.inf),
@@ -342,9 +361,8 @@ def default_of(fn, name):
 @pytest.mark.parametrize("method", ["cv", "lepski"])
 def test_tune_defaults_are_the_library_defaults(wide_csv, tmp_path, method):
     grid = TuningGrid()
-    assert grid.c_tau_candidates == grid.c_lambda_candidates
     spelled = {
-        "cv": ["--grid", ",".join(map(str, grid.c_tau_candidates)),
+        "cv": ["--grid", ",".join(map(str, grid.constants)),
                "--folds", str(grid.folds),
                "--seed", str(default_of(cross_validate, "seed"))],
         "lepski": ["--lepski-K", str(default_of(lepski_select, "K")),

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from adahuber import irls, tuning
-from adahuber.core import Dataset, DegenerateSampleError, RankDeficientError
+from adahuber.core import (
+    Dataset,
+    DegenerateSampleError,
+    NumericalFailureError,
+    RankDeficientError,
+)
 from adahuber.irls import fit_huber
 from adahuber.lamm import fit_l1_huber
 from adahuber.simlab import (
@@ -104,16 +109,16 @@ def make_sparse_instance(rng, n=100, d=20, noise=0.0):
 
 def test_cv_singleton_grid_is_forced(rng):
     data, _ = make_sparse_instance(rng, noise=1.0)
-    grid = TuningGrid((1.0,), (1.0,), folds=3)
+    grid = TuningGrid((1.0,), folds=3)
     c_tau, c_lambda, fit, table = cross_validate(data, grid, high_dim=False, seed=1)
-    assert (c_tau, c_lambda) == (1.0, 1.0)
+    assert (c_tau, c_lambda) == (1.0, None)
     assert len(table) == 1
     assert fit.converged
 
 
 def test_cv_noiseless_recovery(rng):
     data, beta = make_sparse_instance(rng, noise=0.0)
-    grid = TuningGrid((0.5, 1.0, 1.5), (0.5, 1.0, 1.5), folds=3)
+    grid = TuningGrid((0.5, 1.0, 1.5), folds=3)
     _, _, fit, table = cross_validate(data, grid, high_dim=False, seed=7)
     support = np.flatnonzero(np.abs(fit.beta) > 1e-6)
     assert set(support) == {0, 1, 4}
@@ -125,15 +130,19 @@ def test_cv_noiseless_recovery(rng):
 
 def test_cv_table_shape(rng):
     data, _ = make_sparse_instance(rng, noise=1.0)
-    grid = TuningGrid((0.5, 1.0, 1.5), (0.5, 1.0, 1.5), folds=3)
-    out = cross_validate(data, grid, high_dim=False, seed=3)
-    assert len(out[3]) == 9
+    grid = TuningGrid((0.5, 1.0, 1.5), folds=3)
+    c_tau, c_lambda, _, table = cross_validate(data, grid, high_dim=False, seed=3)
+    # one row per constant: the unpenalized fit never reads c_lambda
+    assert [row["c_tau"] for row in table] == list(grid.constants)
+    assert c_lambda is None
+    assert all(row["c_lambda"] is None for row in table)
+    assert c_tau in grid.constants
 
 
 def test_cv_deterministic_and_order_invariant(rng):
     data, _ = make_sparse_instance(rng, n=60, d=8, noise=2.0)
-    g1 = TuningGrid((0.5, 1.0, 1.5), (1.0,), folds=3)
-    g2 = TuningGrid((1.5, 0.5, 1.0), (1.0,), folds=3)
+    g1 = TuningGrid((0.5, 1.0, 1.5), folds=3)
+    g2 = TuningGrid((1.5, 0.5, 1.0), folds=3)
     r1 = cross_validate(data, g1, high_dim=False, seed=11)
     r1b = cross_validate(data, g1, high_dim=False, seed=11)
     r2 = cross_validate(data, g2, high_dim=False, seed=11)
@@ -143,23 +152,25 @@ def test_cv_deterministic_and_order_invariant(rng):
 
 def test_cv_high_dim_branch(rng):
     data, beta = make_sparse_instance(rng, n=80, d=120, noise=1.0)
-    grid = TuningGrid((1.0,), (0.5, 1.0), folds=3)
+    grid = TuningGrid((0.5, 1.0), folds=3)
     c_tau, c_lambda, fit, table = cross_validate(data, grid, high_dim=True, seed=5)
-    assert len(table) == 2
+    # the c_tau x c_lambda product, c_lambda varying fastest
+    assert [(row["c_tau"], row["c_lambda"]) for row in table] == [
+        (0.5, 0.5), (0.5, 1.0), (1.0, 0.5), (1.0, 1.0)]
     assert np.linalg.norm(fit.beta - beta) < np.linalg.norm(beta)
 
 
 def test_cv_folds_exceeding_n(rng):
     x = rng.standard_normal((10, 2))
     data = Dataset(x, x @ np.array([1.0, -1.0]) + rng.standard_normal(10))
-    grid = TuningGrid((1.0,), (1.0,), folds=11)
+    grid = TuningGrid((1.0,), folds=11)
     with pytest.raises(ValueError):
         cross_validate(data, grid)
 
 
 def test_cv_low_dim_fits_each_fold_start_once(rng, ols_solves):
     data, _ = make_sparse_instance(rng, n=60, d=6, noise=1.0)
-    grid = TuningGrid((0.5, 1.0, 1.5), (0.5, 1.0), folds=4)
+    grid = TuningGrid((0.5, 1.0, 1.5), folds=4)
     cross_validate(data, grid, seed=2)
     # one OLS solve per fold, shared by every c_tau, plus the full-data refit
     assert len(ols_solves) == grid.folds + 1
@@ -175,12 +186,29 @@ def test_unpenalized_tuning_fits_go_through_fit_huber(rng, monkeypatch):
 
     monkeypatch.setattr(tuning, "fit_huber", counted)
     data, _ = make_sparse_instance(rng, n=60, d=6, noise=1.0)
-    grid = TuningGrid((0.5, 1.0, 1.5), (0.5, 1.0), folds=4)
+    grid = TuningGrid((0.5, 1.0, 1.5), folds=4)
     cross_validate(data, grid, seed=2)
-    assert len(taus) == grid.folds * len(grid.c_tau_candidates) + 1
+    assert len(taus) == grid.folds * len(grid.constants) + 1
     taus.clear()
     _, _, diag = lepski_select(data)
     assert taus == list(diag["taus"])
+
+
+def test_cv_low_dim_attempts_a_failing_constant_once(rng, monkeypatch):
+    data, _ = make_sparse_instance(rng, n=60, d=6, noise=1.0)
+    bad_tau = plug_in(data, False)(2.0).tau
+    real, attempts = tuning.fit_huber, []
+
+    def failing(sample, tau, cfg=None):
+        if tau == bad_tau:
+            attempts.append(tau)
+            raise NumericalFailureError("injected")
+        return real(sample, tau, cfg)
+
+    monkeypatch.setattr(tuning, "fit_huber", failing)
+    _, _, _, table = cross_validate(data, TuningGrid((0.5, 1.0, 2.0)), seed=2)
+    assert [row["failed"] for row in table] == [False, False, True]
+    assert len(attempts) == 1
 
 
 def test_cv_low_dim_takes_one_spectrum_per_dataset(eigvalsh_calls):
@@ -195,7 +223,7 @@ def test_cv_low_dim_takes_one_spectrum_per_dataset(eigvalsh_calls):
 
 def test_cv_cell_with_an_infinite_tau_fails(rng):
     data, _ = make_sparse_instance(rng, n=60, d=6, noise=1.0)
-    _, _, _, table = cross_validate(data, TuningGrid((1e308, 1.0), (1.0,)))
+    _, _, _, table = cross_validate(data, TuningGrid((1e308, 1.0)))
     assert [row["failed"] for row in table] == [True, False]
 
 
@@ -222,17 +250,17 @@ def test_cv_constant_response_is_degenerate(rng):
 
 def test_tuning_grid_validation():
     with pytest.raises(ValueError):
-        TuningGrid((), (1.0,))
+        TuningGrid(())
     with pytest.raises(ValueError):
-        TuningGrid((1.0,), (1.0,), folds=1)
+        TuningGrid((1.0,), folds=1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
 def test_tuning_grid_rejects_bad_constants(bad):
     with pytest.raises(ValueError, match="positive and finite"):
-        TuningGrid((bad, 1.0), (1.0,))
+        TuningGrid((bad, 1.0))
     with pytest.raises(ValueError, match="positive and finite"):
-        TuningGrid((1.0,), (1.0, bad))
+        TuningGrid((1.0, bad))
 
 
 # --------------------------------------------------------------------- lepski
