@@ -14,7 +14,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import LIBRARY_ERRORS, Dataset, HuberParams, predict, truncate_matrix
+from .core import (
+    LIBRARY_ERRORS,
+    Dataset,
+    DegenerateSampleError,
+    HuberParams,
+    predict,
+    truncate_matrix,
+)
 from .irls import IRLS_DEFAULTS, LAMM_DEFAULTS, fit_huber
 from .lamm import fit_l1_huber
 from .simlab import (
@@ -317,8 +324,8 @@ def cmd_diagnose(args) -> int:
             records.append({"column": header[j], "kurtosis": k,
                             "degenerate": False, "heavy": k > 3.0,
                             "severe": k > T5_KURTOSIS})
-        except LIBRARY_ERRORS:
-            records.append({"column": header[j], "kurtosis": "",
+        except DegenerateSampleError:
+            records.append({"column": header[j], "kurtosis": None,
                             "degenerate": True, "heavy": False,
                             "severe": False})
     out = args.out if args.out else sys.stdout

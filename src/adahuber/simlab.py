@@ -140,15 +140,27 @@ def resolve_threads(threads: int | None = None) -> int:
     return threads
 
 
-def _map_ordered(fn, count: int, threads: int | None):
-    # every experiment maps its replications through here
-    if count < 1:
+def _map_ordered(fn, shape: tuple, threads: int | None) -> list:
+    # every experiment maps its replications through here: fn(*index) for
+    # each index of the grid ``shape``, results in row-major order
+    if min(shape) < 1:
         raise ValueError("an experiment needs reps >= 1 and nonempty grids")
+    indices = list(np.ndindex(*shape))
     workers = resolve_threads(threads)
-    if workers == 1 or count <= 1:
-        return [fn(i) for i in range(count)]
+    if workers == 1 or len(indices) <= 1:
+        return [fn(*index) for index in indices]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
+        return list(pool.map(fn, *zip(*indices)))
+
+
+def _l2_error(fit, target) -> float:
+    """l2 distance from the coefficients of ``fit()`` to ``target``; NaN when
+    ``fit()`` raises a library error.  Any other error propagates."""
+    try:
+        beta = fit().beta
+    except LIBRARY_ERRORS:
+        return math.nan
+    return float(np.linalg.norm(beta - target))
 
 
 def kurtosis(v) -> float:
@@ -212,51 +224,33 @@ def run_table1(
     """
     beta = default_beta_star(d)
     target = np.append(beta, 0.0)
+    estimators = ("ols", "ahuber")  # the last axis of ``errors``
 
-    def one(idx):
-        noise_i, rep = divmod(idx, reps)
-        noise = TABLE1_NOISES[noise_i]
-        spec = ExperimentSpec(n, d, beta, noise, seed=seed)
+    def one(noise_i, rep):
+        spec = ExperimentSpec(n, d, beta, TABLE1_NOISES[noise_i], seed=seed)
         raw, _ = gen_linear_data(spec, rep=(noise_i, rep))
         data = Dataset(raw.x, raw.y, intercept=True)
-        out = []
-        try:
-            ols = fit_ols(data)
-            err = float(np.linalg.norm(ols.beta - target))
-        except LIBRARY_ERRORS:
-            err = math.nan
-        out.append(
-            {"noise": noise.label(), "replication": rep, "estimator": "ols",
-             "l2_error": err}
-        )
-        try:
-            _, _, fit, _ = cross_validate(
-                data, TABLE1_GRID, high_dim=False,
-                seed=(seed % 2**64, noise_i, rep, 1)
-            )
-            err = float(np.linalg.norm(fit.beta - target))
-        except LIBRARY_ERRORS:
-            err = math.nan
-        out.append(
-            {"noise": noise.label(), "replication": rep, "estimator": "ahuber",
-             "l2_error": err}
-        )
-        return out
 
-    chunks = _map_ordered(one, len(TABLE1_NOISES) * reps, threads)
-    rows = [row for chunk in chunks for row in chunk]
+        def ahuber():
+            return cross_validate(data, TABLE1_GRID, high_dim=False,
+                                  seed=(seed % 2**64, noise_i, rep, 1))[2]
 
+        return (_l2_error(lambda: fit_ols(data), target),
+                _l2_error(ahuber, target))
+
+    shape = (len(TABLE1_NOISES), reps)
+    errors = np.reshape(_map_ordered(one, shape, threads), (*shape, 2))
+    rows = [{"noise": noise.label(), "replication": rep, "estimator": name,
+             "l2_error": err}
+            for noise, by_rep in zip(TABLE1_NOISES, errors.tolist())
+            for rep, pair in enumerate(by_rep)
+            for name, err in zip(estimators, pair)]
     summary = []
-    for noise in TABLE1_NOISES:
-        for estimator in ("ahuber", "ols"):
-            errs = [
-                r["l2_error"]
-                for r in rows
-                if r["noise"] == noise.label() and r["estimator"] == estimator
-            ]
-            mean, std, failed = _summary(errs)
+    for noise, errs in zip(TABLE1_NOISES, errors):
+        for j in (1, 0):  # ahuber first
+            mean, std, failed = _summary(errs[:, j])
             summary.append(
-                {"noise": noise.label(), "estimator": estimator,
+                {"noise": noise.label(), "estimator": estimators[j],
                  "mean_l2_error": mean, "std_l2_error": std, "failed": failed}
             )
     return ExperimentReport(rows=rows, summary=summary)
@@ -275,10 +269,10 @@ def _pilot_residuals(data: Dataset, high_dim: bool):
     constants (OLS is unavailable once the coefficient count approaches n).
     """
     if not high_dim and data.n > 2 * data.p:
-        fit = fit_ols(data)
-        return data.y - data.design @ fit.beta
-    fit = fit_l1_huber(data, plug_in(data, True)(), _PILOT_CFG)
-    return data.y - data.design @ fit.beta
+        beta = data.ols_beta
+    else:
+        beta = fit_l1_huber(data, plug_in(data, True)(), _PILOT_CFG).beta
+    return data.y - data.design @ beta
 
 
 def adaptive_tau(residuals, delta: float, n_eff: float, t: float,
@@ -296,37 +290,34 @@ def adaptive_tau(residuals, delta: float, n_eff: float, t: float,
 
 
 def _run_cells(cells, reps: int, seed: int, high_dim: bool, c_tau: float,
-               c_lambda: float, threads: int | None) -> list:
+               c_lambda: float, threads: int | None) -> np.ndarray:
     """Student-t replications over (n, d, df) cells: pilot residuals,
     ``adaptive_tau`` with delta = df - 1 - 0.05 and t = log n, then the
     Huber fit (in high dimensions the l1 fit at the plug-in penalty) and its
     l2 error, NaN on a library error.
 
     Replication ``rep`` of cell ``i`` draws from stream (seed, i, rep).
-    Returns one array of errors per cell, in cell order.
+    Returns the (cells, reps) array of errors.
     """
-    def one(idx):
-        cell, rep = divmod(idx, reps)
+    def one(cell, rep):
         n, d, df = cells[cell]
         beta = default_beta_star(d)
         spec = ExperimentSpec(n, d, beta, NoiseSpec.student_t(df), seed=seed)
         data, _ = gen_linear_data(spec, rep=(cell, rep))
         n_eff = effective_sample_size(n, d, high_dim)
-        try:
+
+        def fit():
             resid = _pilot_residuals(data, high_dim)
             tau = adaptive_tau(resid, df - 1.0 - 0.05, n_eff, math.log(n), c_tau)
             if high_dim:
                 lam = plug_in(data, True)(c_lambda=c_lambda).lam
-                fit = fit_l1_huber(data, HuberParams(tau=tau, lam=lam))
-            else:
-                fit = fit_huber(data, tau)
-            return float(np.linalg.norm(fit.beta - beta))
-        except LIBRARY_ERRORS:
-            return math.nan
+                return fit_l1_huber(data, HuberParams(tau=tau, lam=lam))
+            return fit_huber(data, tau)
 
-    errors = _map_ordered(one, len(cells) * reps, threads)
-    return [np.asarray(errors[i * reps : (i + 1) * reps])
-            for i in range(len(cells))]
+        return _l2_error(fit, beta)
+
+    shape = (len(cells), reps)
+    return np.reshape(_map_ordered(one, shape, threads), shape)
 
 
 def run_phase_transition(
@@ -469,18 +460,14 @@ def _moment_report(eps: np.ndarray, tau: float, kappa: float) -> dict:
     n_mc = eps.shape[0]
     root_n = math.sqrt(n_mc)
 
+    def mean_se(v):
+        return float(np.mean(v)), float(np.std(v)) / root_n
+
     psi = _score(eps, tau)
-    mean_psi = float(np.mean(psi))
-    se_psi = float(np.std(psi)) / root_n
-    psi2 = psi**2
-    mean_psi2 = float(np.mean(psi2))
-    se_psi2 = float(np.std(psi2)) / root_n
-    eps2 = eps**2
-    sigma2 = float(np.mean(eps2))
-    se_sigma2 = float(np.std(eps2)) / root_n
-    abs_high = np.abs(eps) ** (2.0 + kappa)
-    high = float(np.mean(abs_high))
-    se_high = float(np.std(abs_high)) / root_n
+    mean_psi, se_psi = mean_se(psi)
+    mean_psi2, se_psi2 = mean_se(psi**2)
+    sigma2, se_sigma2 = mean_se(eps**2)
+    high, se_high = mean_se(np.abs(eps) ** (2.0 + kappa))
 
     bound_var = sigma2 / tau
     bound_high = tau ** (-1.0 - kappa) * high
@@ -533,7 +520,7 @@ def run_moment_checks(n: int = 100_000, seed: int = 0,
     bias = check_bias_decay(MOMENT_NOISE, MOMENT_TAUS, n_large=n, seed=seed)
     eps = MOMENT_NOISE.sample(_rng(seed), 1_000_000)  # shared by every tau
     moments = _map_ordered(lambda i: _moment_report(eps, MOMENT_TAUS[i], 1.0),
-                           len(MOMENT_TAUS), threads)
+                           (len(MOMENT_TAUS),), threads)
     return [{**b, **m} for b, m in zip(bias, moments)]
 
 
@@ -552,8 +539,7 @@ def run_lepski_study(n: int = 500, d: int = 5, reps: int = 50, seed: int = 0,
     """
     beta = default_beta_star(d)
 
-    def one(idx):
-        noise_i, rep = divmod(idx, reps)
+    def one(noise_i, rep):
         label, noise = LEPSKI_NOISES[noise_i]
         data, _ = gen_linear_data(ExperimentSpec(n, d, beta, noise, seed=seed),
                                   rep)
@@ -563,4 +549,4 @@ def run_lepski_study(n: int = 500, d: int = 5, reps: int = 50, seed: int = 0,
                 "selected_error": float(np.linalg.norm(fit.beta - beta)),
                 "best_fixed_error": best, "fallback": diag["fallback"]}
 
-    return _map_ordered(one, len(LEPSKI_NOISES) * reps, threads)
+    return _map_ordered(one, (len(LEPSKI_NOISES), reps), threads)

@@ -30,9 +30,9 @@ class TuningError(RuntimeError):
 
 @dataclass(frozen=True)
 class TuningGrid:
-    """Cross-validation grid: the candidate constants (each positive and
-    finite) for c_tau, and for c_lambda in high dimensions, and the fold
-    count."""
+    """Cross-validation grid: the candidate constants (distinct, each
+    positive and finite) for c_tau, and for c_lambda in high dimensions,
+    and the fold count."""
 
     constants: tuple = (0.5, 1.0, 1.5)
     folds: int = 3
@@ -43,6 +43,9 @@ class TuningGrid:
         if not all(math.isfinite(c) and c > 0 for c in self.constants):
             raise ValueError(
                 f"constants must be positive and finite, got {self.constants!r}")
+        if len(set(self.constants)) < len(self.constants):
+            raise ValueError(
+                f"constants must be distinct, got {self.constants!r}")
         if self.folds < 2:
             raise ValueError("folds must be at least 2")
 

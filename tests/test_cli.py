@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adahuber import cli, dataio
+from adahuber import cli, dataio, tuning
 from adahuber.cli import build_parser, main
-from adahuber.core import Dataset
+from adahuber.core import Dataset, RankDeficientError
 from adahuber.dataio import CsvFormatError, load_csv, save_csv
 from adahuber.simlab import run_lepski_study, run_moment_checks
 from adahuber.tuning import TuningGrid, cross_validate, lepski_select
@@ -291,6 +291,27 @@ def test_tune_rejects_a_nan_grid_constant(wide_csv, tmp_path, capsys):
     assert main(["tune", "--input", str(wide_csv), "--response", "y",
                  "--grid", "nan,1", "--out", str(out)]) == 1
     assert "positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tune_rejects_repeated_grid_constants(wide_csv, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main(["tune", "--input", str(wide_csv), "--response", "y",
+                 "--grid", "1,1", "--out", str(out)]) == 1
+    assert "constants must be distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tune_exits_one_when_every_cell_fails(wide_csv, tmp_path, monkeypatch,
+                                              capsys):
+    def rank_deficient(sample, tau, cfg=None):
+        raise RankDeficientError("injected")
+
+    monkeypatch.setattr(tuning, "fit_huber", rank_deficient)
+    out = tmp_path / "t.csv"
+    assert main(["tune", "--input", str(wide_csv), "--response", "y",
+                 "--out", str(out)]) == 1
+    assert "every cross-validation cell failed" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -573,6 +594,10 @@ def test_diagnose_flags(tmp_path):
     assert recs["gauss"]["heavy"] is False
     assert recs["t5"]["heavy"] is True
     assert recs["flat"]["degenerate"] is True
+    assert recs["flat"]["kurtosis"] is None  # absent: null, not ""
+    csv_out = tmp_path / "diag.csv"
+    assert main(["diagnose", "--input", str(path), "--out", str(csv_out)]) == 0
+    assert csv_out.read_text().splitlines()[-1] == "flat,,true,false,false"
 
 
 @pytest.mark.parametrize("text,columns", [

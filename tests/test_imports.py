@@ -38,3 +38,24 @@ def test_only_tuning_builds_the_plug_in_rule():
             if name in pieces:
                 users.add(f"{path.name}: {name}")
     assert not users, sorted(users)
+
+
+def test_simlab_has_one_failure_policy_and_one_index_map():
+    """Experiments map their (cell, replication) grid through
+    ``_map_ordered`` and turn a fit into a row value through ``_l2_error``:
+    simlab has one handler naming ``LIBRARY_ERRORS``, inside ``_l2_error``,
+    and no ``divmod`` index split."""
+    tree = ast.parse((SRC / "simlab.py").read_text(encoding="utf-8"))
+
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    def handlers(node):
+        return [h for h in ast.walk(node) if isinstance(h, ast.ExceptHandler)
+                and h.type is not None and "LIBRARY_ERRORS" in names(h.type)]
+
+    home = next(f for f in ast.walk(tree)
+                if isinstance(f, ast.FunctionDef) and f.name == "_l2_error")
+    assert len(handlers(tree)) == 1
+    assert len(handlers(home)) == 1
+    assert "divmod" not in names(tree)

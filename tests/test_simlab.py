@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from adahuber import simlab
-from adahuber.core import DegenerateSampleError
+from adahuber.core import (
+    DegenerateSampleError,
+    NumericalFailureError,
+    RankDeficientError,
+)
 from adahuber.simlab import (
     ExperimentSpec,
     NoiseSpec,
@@ -164,6 +168,29 @@ def test_table1_raises_errors_outside_the_library_families(monkeypatch):
     monkeypatch.setattr(simlab, "fit_ols", broken)
     with pytest.raises(TypeError, match="not a solver failure"):
         run_table1(reps=1, threads=1)
+
+
+def test_table1_records_a_library_error_as_a_nan_row(monkeypatch):
+    def rank_deficient(data):
+        raise RankDeficientError("injected")
+
+    monkeypatch.setattr(simlab, "fit_ols", rank_deficient)
+    report = run_table1(reps=3, seed=5, threads=1)
+    errors = {name: [r["l2_error"] for r in report.rows
+                     if r["estimator"] == name] for name in ("ols", "ahuber")}
+    assert len(errors["ols"]) == 9 and all(map(math.isnan, errors["ols"]))
+    assert len(errors["ahuber"]) == 9 and all(map(math.isfinite, errors["ahuber"]))
+    assert [s["failed"] for s in report.summary] == [0, 3] * 3
+
+
+def test_phase_counts_library_errors_as_failed_replications(monkeypatch):
+    def diverged(data, tau, cfg=None):
+        raise NumericalFailureError("injected")
+
+    monkeypatch.setattr(simlab, "fit_huber", diverged)
+    rows = run_phase_transition([1.5, 3.0], n=120, d=3, reps=2, seed=2, threads=1)
+    assert [row["failed"] for row in rows] == [2, 2]
+    assert all(math.isnan(row["mean_l2_error"]) for row in rows)
 
 
 def test_phase_rows_and_delta_mapping():

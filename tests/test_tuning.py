@@ -22,6 +22,7 @@ from adahuber.simlab import (
 from adahuber.core import HuberParams
 from adahuber.tuning import (
     LepskiGrid,
+    TuningError,
     TuningGrid,
     choose_lepski_index,
     cross_validate,
@@ -211,6 +212,16 @@ def test_cv_low_dim_attempts_a_failing_constant_once(rng, monkeypatch):
     assert len(attempts) == 1
 
 
+def test_cv_raises_tuning_error_when_every_cell_fails(rng, monkeypatch):
+    def rank_deficient(sample, tau, cfg=None):
+        raise RankDeficientError("injected")
+
+    monkeypatch.setattr(tuning, "fit_huber", rank_deficient)
+    data, _ = make_sparse_instance(rng, n=60, d=6, noise=1.0)
+    with pytest.raises(TuningError, match="every cross-validation cell failed"):
+        cross_validate(data, TuningGrid((0.5, 1.0)), seed=2)
+
+
 def test_cv_low_dim_takes_one_spectrum_per_dataset(eigvalsh_calls):
     spec = ExperimentSpec(100, 5, default_beta_star(5), TABLE1_NOISES[0], seed=4)
     raw, _ = gen_linear_data(spec, rep=(0, 0))
@@ -253,6 +264,13 @@ def test_tuning_grid_validation():
         TuningGrid(())
     with pytest.raises(ValueError):
         TuningGrid((1.0,), folds=1)
+
+
+def test_tuning_grid_rejects_repeated_constants():
+    with pytest.raises(ValueError, match="constants must be distinct"):
+        TuningGrid((1.0, 1.0))
+    with pytest.raises(ValueError, match="constants must be distinct"):
+        TuningGrid((0.5, 1.0, 0.5))
 
 
 @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
