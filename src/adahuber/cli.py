@@ -20,7 +20,6 @@ from .core import (
     DegenerateSampleError,
     HuberParams,
     predict,
-    truncate_matrix,
 )
 from .irls import IRLS_DEFAULTS, LAMM_DEFAULTS, fit_huber
 from .lamm import fit_l1_huber
@@ -35,7 +34,7 @@ from .simlab import (
     run_phase_transition,
     run_table1,
 )
-from .truncated import default_truncation_params, fit_truncated
+from .truncated import default_truncation_params, fit_truncated, predict_truncated
 from .tuning import TuningGrid, cross_validate, lepski_select, plug_in
 from . import dataio
 
@@ -247,8 +246,9 @@ def cmd_fit(args) -> int:
     params = _override(rule(data, args), **given) if tuned else HuberParams(**given)
     fit = solve(data, params, cfg)
     # the MAE is taken on the design the solver saw
-    x = data.x if params.varpi is None else truncate_matrix(data.x, params.varpi)
-    score = mae(data.y, predict(fit.beta, x, data.intercept))
+    pred = (predict(fit.beta, data.x, data.intercept) if params.varpi is None
+            else predict_truncated(fit.beta, data.x, params.varpi, data.intercept))
+    score = mae(data.y, pred)
     return _emit_fit(args, data, fit, params, score, tuned)
 
 

@@ -51,7 +51,7 @@ class FitResult:
     beta        fitted coefficients (working-design order; intercept last)
     iterations  number of outer iterations performed (for LAMM, including
                 the coordinate sweeps that finish a fit at the float floor)
-    converged   whether the stopping criterion fired before max_iter
+    converged   whether stop_reason == "converged"
     objective   final (penalized, where applicable) objective value
     grad_norm   l2 norm of the smooth-loss gradient at ``beta``
     trajectory  objective value per iteration, when recorded

@@ -124,16 +124,17 @@ def fit_l1_huber(
     Converges once an accepted step is at most ``cfg.tol`` and the KKT check
     passes at ``min(KKT_TOL, cfg.tol)``; stops with "no_descent" at the float
     floor, where a step without momentum no longer lowers the objective.  A
-    fit that stops there failing KKT at KKT_TOL (a steep column whose KKT
-    moves change the objective below float resolution) is finished by cyclic
-    coordinate sweeps at curvature s_j, each one iteration, until KKT passes,
-    a sweep changes nothing ("no_descent") or ``cfg.max_iter`` is reached.
+    fit that stalls there failing KKT at KKT_TOL (a steep column whose KKT
+    moves change the objective below float resolution) spends its later
+    iterations on cyclic coordinate sweeps at curvature s_j instead, until
+    KKT passes, a sweep changes nothing ("no_descent") or ``cfg.max_iter``
+    is reached.
     """
     cfg = cfg or LAMM_DEFAULTS
     tau, lam, kkt_tol = params.tau, params.lam, min(KKT_TOL, cfg.tol)
     design, y, n, d, mask = data.design, data.y, data.n, data.d, data.penalty_mask
     scale = _scale(data)
-    trials, grads = [], 0
+    trials, grads, sweeps = [], 0, 0
 
     def loss_grad(resid):  # at the point with these residuals: one product
         nonlocal grads
@@ -146,54 +147,48 @@ def fit_l1_huber(
     beta, r_beta = np.zeros(data.p), y
     f_beta = _mean(_hloss_score(y, tau)[0])
     z, r_z, t, phi, grad = beta, y, 1.0, 1.0, None
-    traj, converged, stop_reason = [f_beta], False, "max_iter"
+    traj, converged, stop_reason, cols = [f_beta], False, "max_iter", None
     for _ in range(cfg.max_iter):
-        loss_z, grad_z = loss_grad(r_z)
-        for inner in itertools.count(1):
-            u = _step(z, grad_z, lam, phi * scale, data.intercept)
-            r_u = y - design @ u
-            loss_u = _mean(_hloss_score(r_u, tau)[0])
-            if _majorizes(loss_u, loss_z, grad_z, u - z, phi, scale):
-                break
-            phi *= GAMMA_U
-            if phi > _PHI_OVERFLOW:
-                raise NumericalFailureError("quadratic parameter overflow")
-        trials.append(inner)
+        if cols is None:
+            loss_z, grad_z = loss_grad(r_z)
+            for inner in itertools.count(1):
+                u = _step(z, grad_z, lam, phi * scale, data.intercept)
+                r_u = y - design @ u
+                loss_u = _mean(_hloss_score(r_u, tau)[0])
+                if _majorizes(loss_u, loss_z, grad_z, u - z, phi, scale):
+                    break
+                phi *= GAMMA_U
+                if phi > _PHI_OVERFLOW:
+                    raise NumericalFailureError("quadratic parameter overflow")
+            trials.append(inner)
 
-        f_u = loss_u + lam * float(np.abs(u[:d]).sum())  # intercept (last) is free
-        stalled = z is beta and not f_u < f_beta
-        if f_u > f_beta:  # safeguard: keep beta, restart the momentum there
-            z, r_z, t, step = beta, r_beta, 1.0, np.inf
-        else:
-            move = u - beta
-            step = math.sqrt(float(move @ move))
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            theta = (t - 1.0) / t_next
-            z, r_z = u, r_u
-            if theta:
-                z, r_z = u + theta * move, r_u + theta * (r_u - r_beta)
-            beta, r_beta, f_beta, t, grad = u, r_u, f_u, t_next, None
-        traj.append(f_beta)
-        if step <= cfg.tol or stalled:
-            grad = loss_grad(r_beta)[1] if grad is None else grad
-            converged = _kkt_ok(grad, beta, mask, lam, kkt_tol)
-            if converged or stalled:
-                stop_reason = "converged" if converged else "no_descent"
-                break
-
-    sweeps = 0
-    if stop_reason == "no_descent" and not _kkt_ok(grad, beta, mask, lam, KKT_TOL):
-        cols, stop_reason = np.ascontiguousarray(design.T), "max_iter"
-        while len(trials) + sweeps < cfg.max_iter:
-            before, beta = beta, beta.copy()
-            _sweep(cols, beta, r_beta.copy(), scale, mask, tau, lam)
+            f_u = loss_u + lam * float(np.abs(u[:d]).sum())  # intercept (last) is free
+            stalled = z is beta and not f_u < f_beta
+            if f_u > f_beta:  # safeguard: keep beta, restart the momentum there
+                z, r_z, t, step = beta, r_beta, 1.0, np.inf
+            else:
+                move = u - beta
+                step = math.sqrt(float(move @ move))
+                t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+                theta = (t - 1.0) / t_next
+                z, r_z = u, r_u
+                if theta:
+                    z, r_z = u + theta * move, r_u + theta * (r_u - r_beta)
+                beta, r_beta, f_beta, t, grad = u, r_u, f_u, t_next, None
+        else:  # r_beta may be y itself, so the sweep works on a copy
+            stalled = not _sweep(cols, beta, r_beta.copy(), scale, mask, tau, lam)
             sweeps += 1
             r_beta = y - design @ beta  # fresh, so no drift carries over
             loss, grad = loss_grad(r_beta)
             f_beta = loss + lam * float(np.abs(beta[:d]).sum())
-            traj.append(f_beta)
+            step = 0.0  # every sweep takes the KKT test
+        traj.append(f_beta)
+        if step <= cfg.tol or stalled:
+            grad = loss_grad(r_beta)[1] if grad is None else grad
             converged = _kkt_ok(grad, beta, mask, lam, kkt_tol)
-            if converged or np.array_equal(beta, before):
+            if stalled and cols is None and not _kkt_ok(grad, beta, mask, lam, KKT_TOL):
+                cols = np.ascontiguousarray(design.T)  # sweep from here on
+            elif converged or stalled:
                 stop_reason = "converged" if converged else "no_descent"
                 break
 
@@ -207,17 +202,20 @@ def fit_l1_huber(
     )
 
 
-def _sweep(cols, beta, resid, scale, mask, tau, lam) -> None:
-    """One cyclic coordinate-descent pass, in place on ``beta`` and ``resid``.
+def _sweep(cols, beta, resid, scale, mask, tau, lam) -> bool:
+    """One cyclic coordinate-descent pass, in place on ``beta`` and ``resid``;
+    returns whether it moved any coordinate.
 
     Coordinate j takes the ``_step`` of its one-dimensional surrogate at
     curvature s_j, which majorizes the loss along x_j exactly because
     psi' <= 1, so no pass raises the objective; the unpenalized intercept
     (mask False) takes the plain step."""
-    n = resid.shape[0]
+    n, moved = resid.shape[0], False
     for j in range(beta.shape[0]):
         grad = -(cols[j:j + 1] @ _score(resid, tau)) / n
         new = _step(beta[j:j + 1], grad, lam, scale[j:j + 1], not mask[j])[0]
         if new != beta[j]:
             resid -= (new - beta[j]) * cols[j]
             beta[j] = new
+            moved = True
+    return moved

@@ -20,7 +20,7 @@ from .core import (
     _mean,
     predict,
 )
-from .irls import fit_huber, fit_ols
+from .irls import fit_huber
 from .lamm import fit_l1_huber
 
 
@@ -230,14 +230,14 @@ def lepski_select(data: Dataset, K: float = 3.0, a: float = 1.5):
         raise RankDeficientError(
             f"need more rows ({n}) than coefficients ({p})"
         )
-    ols = fit_ols(data)  # rejects a singular gram before eigh's roots
+    resid = y - design @ data.ols_beta  # rejects a singular gram before eigh's roots
     evals, vecs = np.linalg.eigh(data.gram)
     root = (vecs * np.sqrt(evals)) @ vecs.T
     inv_root = (vecs / np.sqrt(evals)) @ vecs.T
     l_tilde = float(np.max(np.abs(design @ inv_root)))
 
     t = math.log(n)
-    rss = float(np.sum((y - design @ ols.beta) ** 2))
+    rss = float(np.sum(resid ** 2))
     sigma_hat = math.sqrt(rss / (n - p))
 
     sigmas = np.asarray(LepskiGrid(sigma_hat / K, K * sigma_hat, a).grid)

@@ -59,3 +59,19 @@ def test_simlab_has_one_failure_policy_and_one_index_map():
     assert len(handlers(tree)) == 1
     assert len(handlers(home)) == 1
     assert "divmod" not in names(tree)
+
+
+def test_lamm_has_one_iteration_loop():
+    """Every LAMM iteration, surrogate step or coordinate sweep, ends in the
+    same trajectory entry and stop test: ``fit_l1_huber`` has one loop over
+    ``range(cfg.max_iter)``, no ``while``, and no other loop than the
+    backtracking ``itertools.count`` nested in it."""
+    tree = ast.parse((SRC / "lamm.py").read_text(encoding="utf-8"))
+    fit = next(f for f in ast.walk(tree)
+               if isinstance(f, ast.FunctionDef) and f.name == "fit_l1_huber")
+    iters = [ast.unparse(node.iter) for node in ast.walk(fit)
+             if isinstance(node, ast.For)]
+    assert iters.count("range(cfg.max_iter)") == 1, iters
+    assert all(it == "range(cfg.max_iter)" or it.startswith("itertools.count(")
+               for it in iters), iters
+    assert not [node for node in ast.walk(fit) if isinstance(node, ast.While)]

@@ -386,6 +386,18 @@ def test_steep_column_converges(rep):
     assert again.trajectory == fit.trajectory
 
 
+@pytest.mark.parametrize("cap", [29, 31])
+def test_cap_reached_while_sweeping(cap):
+    # rep 0 stalls at the float floor on iteration 29 and converges after
+    # three sweeps: cap 29 ends on the stall itself, cap 31 after two sweeps
+    data, params = contaminated_instance(0)
+    fit = fit_l1_huber(data, params, SolverConfig(max_iter=cap))
+    assert fit.stop_reason == "max_iter" and not fit.converged
+    assert fit.iterations == cap
+    assert len(fit.trajectory) == cap + 1
+    assert np.all(np.diff(fit.trajectory) <= 1e-10)
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), intercept=st.booleans(),
        lam_exp=st.floats(-3.0, 0.0))

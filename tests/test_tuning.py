@@ -1,9 +1,10 @@
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from adahuber import irls, tuning
+from adahuber import tuning
 from adahuber.core import (
     Dataset,
     DegenerateSampleError,
@@ -366,14 +367,16 @@ def test_lepski_betas_are_the_grid_fits(rng):
 
 
 def test_lepski_fits_ols_once(rng, monkeypatch):
-    real, calls = irls.fit_ols, []
+    # sigma_hat and every grid fit's start read the Dataset's one OLS solve
+    real, calls = Dataset.ols_beta.func, []
 
     def counted(data):
         calls.append(data)
         return real(data)
 
-    monkeypatch.setattr(irls, "fit_ols", counted)
-    monkeypatch.setattr(tuning, "fit_ols", counted)
+    solve = cached_property(counted)
+    solve.__set_name__(Dataset, "ols_beta")
+    monkeypatch.setattr(Dataset, "ols_beta", solve)
     x = rng.standard_normal((150, 3))
     _, _, diag = lepski_select(Dataset(x, x[:, 0] + rng.standard_t(2.0, 150)))
     assert len(diag["taus"]) > 1
