@@ -19,6 +19,7 @@ from .core import (
     huber_loss,
     huber_score,
     irls_weight,
+    mae,
     objective,
     predict,
     soft_threshold,
@@ -47,7 +48,6 @@ from .simlab import (
     check_truncated_moments,
     gen_linear_data,
     kurtosis,
-    mae,
     run_lepski_study,
     run_moment_checks,
     run_neff_experiment,

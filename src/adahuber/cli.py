@@ -19,6 +19,7 @@ from .core import (
     Dataset,
     DegenerateSampleError,
     HuberParams,
+    mae,
     predict,
 )
 from .irls import IRLS_DEFAULTS, LAMM_DEFAULTS, fit_huber
@@ -27,7 +28,6 @@ from .simlab import (
     GENERATOR_ID,
     ExperimentReport,
     kurtosis,
-    mae,
     run_lepski_study,
     run_moment_checks,
     run_neff_experiment,
@@ -148,7 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--d-grid", type=_ints, default=None)
     p_sim.add_argument("--high-dim", action="store_true", default=None)
     p_sim.add_argument("--threads", type=int, default=None,
-                       help="worker count (also ADAHUBER_THREADS)")
+                       help="worker processes, started by fork; serial where fork "
+                       "is unavailable (also ADAHUBER_THREADS)")
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 

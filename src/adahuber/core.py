@@ -1,8 +1,9 @@
 """Numerical kernel for adaptive Huber regression.
 
 Huber loss and its derivative, IRLS weights, the empirical objective and
-gradient, soft-thresholding, and elementwise covariate clamping.  All
-functions are pure; scalar inputs give scalar outputs, arrays give arrays.
+gradient, soft-thresholding, elementwise covariate clamping, and the mean
+absolute error of a prediction.  All functions are pure; scalar inputs give
+scalar outputs, arrays give arrays.
 Non-finite inputs are rejected eagerly instead of being propagated.
 """
 
@@ -290,3 +291,12 @@ def predict(beta, x, intercept: bool = False) -> np.ndarray:
     if intercept:
         out = out + beta[-1]
     return out
+
+
+def mae(y_true, y_pred) -> float:
+    """Mean absolute difference between two equal-length vectors."""
+    a = np.asarray(y_true, dtype=float).ravel()
+    b = np.asarray(y_pred, dtype=float).ravel()
+    if a.shape != b.shape:
+        raise ValueError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
+    return _mean(np.abs(a - b))

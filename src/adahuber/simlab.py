@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,26 +130,56 @@ def gen_linear_data(spec: ExperimentSpec, rep=0):
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, then ADAHUBER_THREADS, then CPU count."""
+    """Worker count: explicit argument, then ADAHUBER_THREADS, then the
+    number of CPUs this process may run on."""
     if threads is None:
-        threads = os.environ.get("ADAHUBER_THREADS") or os.cpu_count() or 1
+        threads = os.environ.get("ADAHUBER_THREADS") or _usable_cpus()
     threads = int(threads)
     if threads < 1:
         raise ValueError("threads must be at least 1")
     return threads
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# a forked worker inherits the experiment's closure (and whatever it shares,
+# such as the moment checks' draws) instead of unpickling it; other start
+# methods cost 10-20x more per pool than the small fits they would spread
+_FORK = hasattr(os, "fork")
+_task = None  # the mapped function, set in each worker by ``_adopt``
+
+
+def _adopt(fn) -> None:
+    global _task
+    _task = fn
+
+
+def _call(index: tuple):
+    return _task(*index)
+
+
 def _map_ordered(fn, shape: tuple, threads: int | None) -> list:
     # every experiment maps its replications through here: fn(*index) for
-    # each index of the grid ``shape``, results in row-major order
+    # each index of the grid ``shape``, results in row-major order, on
+    # forked worker processes where the platform has fork
     if min(shape) < 1:
         raise ValueError("an experiment needs reps >= 1 and nonempty grids")
     indices = list(np.ndindex(*shape))
-    workers = resolve_threads(threads)
-    if workers == 1 or len(indices) <= 1:
+    workers = min(resolve_threads(threads), len(indices))
+    if workers == 1 or not _FORK:
         return [fn(*index) for index in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*indices)))
+    # imported here, so that importing the package does not pay for the pool
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt, initargs=(fn,)) as pool:
+        return list(pool.map(_call, indices,
+                             chunksize=max(1, len(indices) // (4 * workers))))
 
 
 def _l2_error(fit, target) -> float:
@@ -173,15 +202,6 @@ def kurtosis(v) -> float:
     if m2 == 0.0:
         raise DegenerateSampleError("kurtosis undefined for zero variance")
     return float(np.mean(centered**4)) / m2**2
-
-
-def mae(y_true, y_pred) -> float:
-    """Mean absolute difference between two equal-length vectors."""
-    a = np.asarray(y_true, dtype=float).ravel()
-    b = np.asarray(y_pred, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(np.mean(np.abs(a - b)))
 
 
 def _summary(values) -> tuple[float, float, int]:
@@ -514,7 +534,8 @@ def run_moment_checks(n: int = 100_000, seed: int = 0,
     One row per tau in ``MOMENT_TAUS``: the ``check_bias_decay`` row at
     sample size ``n`` merged with the ``check_truncated_moments`` report at
     kappa = 1 from one set of 10^6 draws.  The moment checks of different
-    taus run on the worker pool.
+    taus run on the worker processes of ``_map_ordered``, which inherit the
+    draws by fork.
     """
     threads = resolve_threads(threads)  # reject a bad count before any work
     bias = check_bias_decay(MOMENT_NOISE, MOMENT_TAUS, n_large=n, seed=seed)

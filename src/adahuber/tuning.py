@@ -17,7 +17,7 @@ from .core import (
     DegenerateSampleError,
     HuberParams,
     RankDeficientError,
-    _mean,
+    mae,
     predict,
 )
 from .irls import fit_huber
@@ -151,7 +151,7 @@ def cross_validate(
         maes = []
         for train, block in zip(trains, blocks):
             pred = predict(fit(train, params).beta, data.x[block], data.intercept)
-            maes.append(_mean(np.abs(data.y[block] - pred)))
+            maes.append(mae(data.y[block], pred))
         return float(np.mean(maes))
 
     cells = list(product(grid.constants, repeat=2 if high_dim else 1))

@@ -1,5 +1,7 @@
+import concurrent.futures
 import dataclasses
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from adahuber.core import (
     DegenerateSampleError,
     NumericalFailureError,
     RankDeficientError,
+    mae,
 )
 from adahuber.simlab import (
     ExperimentSpec,
@@ -18,7 +21,6 @@ from adahuber.simlab import (
     default_beta_star,
     gen_linear_data,
     kurtosis,
-    mae,
     run_lepski_study,
     run_moment_checks,
     run_neff_experiment,
@@ -166,8 +168,9 @@ def test_table1_raises_errors_outside_the_library_families(monkeypatch):
         raise TypeError("not a solver failure")
 
     monkeypatch.setattr(simlab, "fit_ols", broken)
-    with pytest.raises(TypeError, match="not a solver failure"):
-        run_table1(reps=1, threads=1)
+    for threads in (1, 2):  # a worker process re-raises it in the caller
+        with pytest.raises(TypeError, match="not a solver failure"):
+            run_table1(reps=1, threads=threads)
 
 
 def test_table1_records_a_library_error_as_a_nan_row(monkeypatch):
@@ -229,6 +232,57 @@ def test_neff_one_covariate_reports_the_rule_it_fitted_with():
     # n / log d is undefined at d = 1, where the plug-in rule uses n
     rows = run_neff_experiment([1], [60], reps=1, seed=4, threads=1)
     assert rows[0]["n_eff"] == 60.0
+
+
+def test_lepski_study_raises_a_library_error_from_a_worker(monkeypatch):
+    def rank_deficient(data):
+        raise RankDeficientError("injected")
+
+    monkeypatch.setattr(simlab, "lepski_select", rank_deficient)
+    with pytest.raises(RankDeficientError, match="injected"):
+        run_lepski_study(n=60, d=2, reps=2, threads=2)
+
+
+def test_pooled_run_leaves_no_worker_process():
+    run_table1(reps=2, seed=5, threads=2)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the process pools started while the test runs."""
+    real, counts = concurrent.futures.ProcessPoolExecutor, []
+
+    def counted(workers, **kwargs):
+        counts.append(workers)
+        return real(workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+    return counts
+
+
+def test_pool_starts_no_more_workers_than_indices(pools):
+    assert simlab._map_ordered(lambda i: i * i, (3,), 8) == [0, 1, 4]
+    assert pools == [3]
+    assert simlab._map_ordered(lambda i: i, (1,), 8) == [0]
+    assert pools == [3]  # one index runs in the caller
+
+
+def test_map_is_serial_without_fork(pools, monkeypatch):
+    monkeypatch.setattr(simlab, "_FORK", False)
+    assert simlab._map_ordered(lambda i, j: (i, j), (2, 2), 2) == [
+        (0, 0), (0, 1), (1, 0), (1, 1)]
+    assert pools == []
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        simlab._map_ordered(lambda i: i, (2,), 0)
+
+
+def test_default_worker_count_follows_the_usable_cpus(monkeypatch):
+    monkeypatch.delenv("ADAHUBER_THREADS", raising=False)
+    monkeypatch.setattr(simlab.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert simlab.resolve_threads() == 1
+    monkeypatch.setenv("ADAHUBER_THREADS", "3")
+    assert simlab.resolve_threads() == 3
 
 
 # -------------------------------------------------------------- moment checks
