@@ -148,8 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--d-grid", type=_ints, default=None)
     p_sim.add_argument("--high-dim", action="store_true", default=None)
     p_sim.add_argument("--threads", type=int, default=None,
-                       help="worker processes, started by fork; serial where fork "
-                       "is unavailable (also ADAHUBER_THREADS)")
+                       help="worker processes: the caller runs one share and "
+                       "forks workers - 1 children, each reaped before the run "
+                       "returns; serial where fork is unavailable (also "
+                       "ADAHUBER_THREADS)")
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--format", choices=("csv", "jsonl"), default="csv")
 

@@ -7,6 +7,9 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import sys
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,38 +151,90 @@ def _usable_cpus() -> int:
 
 # a forked worker inherits the experiment's closure (and whatever it shares,
 # such as the moment checks' draws) instead of unpickling it; other start
-# methods cost 10-20x more per pool than the small fits they would spread
+# methods cost 10-20x more per call than the small fits they would spread
 _FORK = hasattr(os, "fork")
-_task = None  # the mapped function, set in each worker by ``_adopt``
-
-
-def _adopt(fn) -> None:
-    global _task
-    _task = fn
-
-
-def _call(index: tuple):
-    return _task(*index)
 
 
 def _map_ordered(fn, shape: tuple, threads: int | None) -> list:
     # every experiment maps its replications through here: fn(*index) for
-    # each index of the grid ``shape``, results in row-major order, on
-    # forked worker processes where the platform has fork
+    # each index of the grid ``shape``, results in row-major order.  Worker w
+    # takes the strided share indices[w::workers], so each worker gets an
+    # equal part of every noise family or cell.  Where the platform has
+    # fork, the caller runs share 0 itself and forks workers - 1 children,
+    # each reaped before the call returns; elsewhere the map is serial
     if min(shape) < 1:
         raise ValueError("an experiment needs reps >= 1 and nonempty grids")
     indices = list(np.ndindex(*shape))
     workers = min(resolve_threads(threads), len(indices))
     if workers == 1 or not _FORK:
         return [fn(*index) for index in indices]
-    # imported here, so that importing the package does not pay for the pool
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    _flush_std_streams()  # a child must not write the caller's buffered output
+    reads, pids, payloads = [], [], []  # per child: pipe read end, pid, bytes
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_share(fn, indices[w::workers], write, reads)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        shares = [[fn(*index) for index in indices[::workers]]]
+        for read in reads:
+            with open(read, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+    finally:
+        # close before reaping: a child blocked on a full pipe then fails
+        # its write and exits instead of waiting for a reader
+        for read in reads:
+            os.close(read)
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for w, (payload, status) in enumerate(zip(payloads, statuses), 1):
+        try:
+            ok, value = pickle.loads(payload)
+        except Exception as exc:
+            raise RuntimeError(f"simulation worker {w} ended with exit status "
+                               f"{status} without sending its results") from exc
+        if not ok:
+            exc, trace = value
+            raise exc from RuntimeError(f"in simulation worker {w}:\n{trace}")
+        shares.append(value)
+    out = [None] * len(indices)
+    for w, share in enumerate(shares):
+        out[w::workers] = share
+    return out
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_adopt, initargs=(fn,)) as pool:
-        return list(pool.map(_call, indices,
-                             chunksize=max(1, len(indices) // (4 * workers))))
+
+def _run_share(fn, share: list, write: int, reads: list):
+    # the body of a forked child, which never returns: it closes the read
+    # ends it inherited (so a sibling's pipe breaks once the caller closes
+    # it), sends pickle((ok, results | exception)) down its pipe and leaves
+    # by os._exit, so none of the caller's cleanup runs twice; an exception
+    # travels with its traceback as text.  A result or error that cannot be
+    # pickled ends the child with status 1 and nothing sent
+    status = 1
+    try:
+        for read in reads:
+            os.close(read)
+        try:
+            payload = (True, [fn(*index) for index in share])
+        except BaseException as exc:
+            payload = (False, (exc, traceback.format_exc()))
+        _flush_std_streams()
+        data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _flush_std_streams() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
 
 
 def _l2_error(fit, target) -> float:

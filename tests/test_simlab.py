@@ -1,7 +1,7 @@
-import concurrent.futures
 import dataclasses
 import math
-import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -243,38 +243,103 @@ def test_lepski_study_raises_a_library_error_from_a_worker(monkeypatch):
         run_lepski_study(n=60, d=2, reps=2, threads=2)
 
 
+def assert_no_child_process():
+    # at the OS level: any child left, finished or not, would be returned here
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_pooled_run_leaves_no_worker_process():
     run_table1(reps=2, seed=5, threads=2)
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """The worker counts of the process pools started while the test runs."""
-    real, counts = concurrent.futures.ProcessPoolExecutor, []
+def forks(monkeypatch):
+    """The number of active threads at each fork made while the test runs."""
+    real, counts = os.fork, []
 
-    def counted(workers, **kwargs):
-        counts.append(workers)
-        return real(workers, **kwargs)
+    def counted():
+        counts.append(threading.active_count())
+        return real()
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+    monkeypatch.setattr(simlab.os, "fork", counted)
     return counts
 
 
-def test_pool_starts_no_more_workers_than_indices(pools):
+def test_pool_starts_no_more_workers_than_indices(forks):
     assert simlab._map_ordered(lambda i: i * i, (3,), 8) == [0, 1, 4]
-    assert pools == [3]
+    assert len(forks) == 2  # the caller is the third worker
     assert simlab._map_ordered(lambda i: i, (1,), 8) == [0]
-    assert pools == [3]  # one index runs in the caller
+    assert len(forks) == 2  # one index runs in the caller
+    assert_no_child_process()
 
 
-def test_map_is_serial_without_fork(pools, monkeypatch):
+def test_map_starts_no_thread_before_it_forks(forks):
+    simlab._map_ordered(lambda i: i, (6,), 3)
+    assert forks == [1, 1]
+
+
+def test_map_is_serial_without_fork(forks, monkeypatch):
     monkeypatch.setattr(simlab, "_FORK", False)
     assert simlab._map_ordered(lambda i, j: (i, j), (2, 2), 2) == [
         (0, 0), (0, 1), (1, 0), (1, 1)]
-    assert pools == []
+    assert forks == []
     with pytest.raises(ValueError, match="threads must be at least 1"):
         simlab._map_ordered(lambda i: i, (2,), 0)
+
+
+def test_map_runs_one_share_in_the_caller():
+    pids = simlab._map_ordered(lambda i: os.getpid(), (5,), 2)
+    assert len(set(pids)) == 2 and os.getpid() in pids
+    assert pids[::2] == [os.getpid()] * 3  # the strided share 0
+    assert_no_child_process()
+
+
+def test_map_returns_shares_larger_than_a_pipe_buffer():
+    out = simlab._map_ordered(lambda i: np.full(50_000, i), (4,), 3)
+    for i, v in enumerate(out):
+        np.testing.assert_array_equal(v, np.full(50_000, i))
+    assert_no_child_process()
+
+
+def fails_at(index, error):
+    def fn(i):
+        if i == index:
+            raise error
+        return np.full(50_000, i)  # fills the pipe of a child that does not fail
+    return fn
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["caller", "child"])
+def test_map_raises_a_share_error_with_its_type(index):
+    with pytest.raises(KeyError, match="injected") as raised:
+        simlab._map_ordered(fails_at(index, KeyError("injected")), (4,), 2)
+    if index:  # a child's traceback comes back as the error's cause
+        assert "in simulation worker 1:" in str(raised.value.__cause__)
+        assert "raise error" in str(raised.value.__cause__)
+    assert_no_child_process()
+
+
+class Unpicklable(Exception):
+    def __init__(self):
+        super().__init__("unpicklable")
+        self.lock = threading.Lock()
+
+
+def exits_at_1(i):
+    if i == 1:
+        os._exit(3)
+    return i
+
+
+@pytest.mark.parametrize("fn, status", [(exits_at_1, 3),
+                                        (fails_at(1, Unpicklable()), 1)],
+                         ids=["os-exit", "unpicklable-error"])
+def test_map_names_a_child_that_sends_no_results(fn, status):
+    with pytest.raises(RuntimeError, match=f"worker 1 ended with exit status {status} "):
+        simlab._map_ordered(fn, (4,), 2)
+    assert_no_child_process()
 
 
 def test_default_worker_count_follows_the_usable_cpus(monkeypatch):
