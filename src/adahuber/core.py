@@ -68,8 +68,9 @@ class Dataset:
     design; the corresponding coefficient is never penalized and never
     truncated.  ``column_names`` optionally names the d covariates.
 
-    ``design``, ``gram``, ``gram_evals`` and ``ols_beta`` are computed once
-    and cached, so treat ``x`` and ``y`` as read-only after construction.
+    ``design``, ``gram``, ``gram_evals``, ``ols_beta`` and ``row_norms_sq``
+    are computed once and cached, so treat ``x`` and ``y`` as read-only
+    after construction.
     """
 
     x: np.ndarray
@@ -134,6 +135,11 @@ class Dataset:
         beta = np.linalg.solve(self.gram, self.design.T @ self.y / self.n)
         beta.flags.writeable = False
         return beta
+
+    @cached_property
+    def row_norms_sq(self) -> np.ndarray:
+        """Squared l2 norm of each row of ``design``."""
+        return np.einsum("ij,ij->i", self.design, self.design)
 
     @cached_property
     def penalty_mask(self) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""Unpenalized Huber regression via iteratively reweighted least squares,
-plus an ordinary least squares baseline."""
+"""Unpenalized Huber regression by certified semismooth Newton steps with
+an iteratively reweighted least-squares fallback, plus an ordinary least
+squares baseline."""
 
 from __future__ import annotations
 
@@ -95,16 +96,32 @@ def fit_ols(data: Dataset) -> FitResult:
 
 
 def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
-    """Huber regression solved by iteratively reweighted least squares.
+    """Huber regression by certified semismooth Newton steps, with an
+    iteratively reweighted least-squares sweep as the fallback.
 
-    Each sweep solves the weighted normal equations with weights
-    ``irls_weight(residual, tau)``; this majorizes the Huber objective, so the
-    recorded loss trajectory is nonincreasing.  Warm-started at the cached
-    OLS solution ``data.ols_beta`` (zero vector if OLS is rank-deficient).
-    Stops once the coefficient change drops below ``cfg.tol`` and the
-    gradient is small.
-    Each sweep forms the residuals once; they give the recorded loss, the
-    gradient and the next sweep's weights.
+    The Huber objective is quadratic on the rows with |r| <= tau and linear on
+    the clipped rest.  Where some row is clipped, a sweep first solves
+    H b = X'(c*y + (1-c)*psi)/n with c = 1{|r| <= tau} and H = X'diag(c)X/n:
+    the exact minimizer once the clipped set stops changing.  The step is kept
+    only if it strictly lowers the loss or returns the current coefficients;
+    otherwise, and whenever no row is clipped (where the two systems agree),
+    the sweep solves the weighted normal equations with weights
+    ``irls_weight(residual, tau)``, which majorize the Huber objective.  So
+    the recorded loss trajectory is nonincreasing, up to rounding in the loss
+    itself.  A Newton step depends only on the clipped rows and their signs,
+    so no step can recur along a strictly falling loss, and the iteration
+    cannot cycle.
+
+    Newton runs only where H is certified without a decomposition: H is the
+    Gram matrix minus the clipped rows' x_i x_i'/n, so by Weyl's inequality
+    its smallest eigenvalue is at least that of ``data.gram`` minus the sum
+    of ``data.row_norms_sq`` over the clipped rows, divided by n.  The bound
+    must clear twice solve_spd's singularity threshold; it cannot where OLS
+    is rank-deficient.
+
+    Warm-started at the cached OLS solution ``data.ols_beta`` (zero vector if
+    OLS is rank-deficient).  Stops once the coefficient change drops below
+    ``cfg.tol`` and the gradient is small.
     """
     tau = _check_tau(tau)
     cfg = cfg or IRLS_DEFAULTS
@@ -119,27 +136,50 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
     # absorbs eigvalsh's rounding (about p * eps * lambda_max).
     lo, hi = float(data.gram_evals[0]), float(data.gram_evals[-1])
     w_floor = 2 * _RANK_EPS * hi / lo if lo > 0 else math.inf
+    # Newton's H passes the same check while the clipped rows' squared norms
+    # sum to less than ``room``, which is not positive unless OLS is
+    # full-rank.
+    room = n * (lo - 2 * _RANK_EPS * hi)
+    row_sq = data.row_norms_sq
     grad_tol = 1e-6 * (1.0 + _norm(y))
-    resid = y - design @ beta
-    loss, psi = _hloss_score(resid, tau)
-    traj = [_mean(loss)]
+
+    def weighted_gram(w):
+        return (design * w[:, None]).T @ design / n
+
+    def evaluate(b):
+        # the residuals give the recorded loss, the gradient and the weights
+        r = y - design @ b
+        loss, psi = _hloss_score(r, tau)
+        return r, psi, _mean(loss)
+
+    resid, psi, obj = evaluate(beta)
+    traj = [obj]
     converged = False
     iterations = 0
 
     for _ in range(cfg.max_iter):
-        w = _weight(resid, tau)
-        gram = (design * w[:, None]).T @ design / n
-        rhs = design.T @ (w * y) / n
-        if np.minimum.reduce(w) > w_floor:
-            beta_new = np.linalg.solve(gram, rhs)
-        else:
-            beta_new = solve_spd(gram, rhs)
+        clipped = np.abs(resid) > tau
+        point = None
+        if clipped.any() and row_sq[clipped].sum() < room:
+            beta_new = np.linalg.solve(weighted_gram(1.0 - clipped),
+                                       design.T @ np.where(clipped, psi, y) / n)
+            point = evaluate(beta_new)
+            if not (point[2] < obj or np.array_equal(beta_new, beta)):
+                point = None
+        if point is None:
+            w = _weight(resid, tau)
+            gram = weighted_gram(w)
+            rhs = design.T @ (w * y) / n
+            if np.minimum.reduce(w) > w_floor:
+                beta_new = np.linalg.solve(gram, rhs)
+            else:
+                beta_new = solve_spd(gram, rhs)
+            point = evaluate(beta_new)
         step = _norm(beta_new - beta)
         beta = beta_new
+        resid, psi, obj = point
         iterations += 1
-        resid = y - design @ beta
-        loss, psi = _hloss_score(resid, tau)
-        traj.append(_mean(loss))
+        traj.append(obj)
         if step <= cfg.tol and _norm(design.T @ psi / n) <= grad_tol:
             converged = True
             break
