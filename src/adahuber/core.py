@@ -55,6 +55,22 @@ def _check_rank(evals: np.ndarray) -> None:
         )
 
 
+def _certified(data: Dataset, w: np.ndarray) -> bool:
+    """Whether X'diag(w)X/n, for weights 0 <= w <= 1, would pass
+    ``_check_rank``, decided without a decomposition.
+
+    With G = ``data.gram``, the matrix lies between min(w) * G and G, and by
+    Weyl's inequality its smallest eigenvalue is at least lambda_min(G) minus
+    sum((1 - w_i) * ||x_i||^2) / n.  Either lower bound must clear twice the
+    threshold at lambda_max(G); the factor 2 absorbs eigvalsh's rounding
+    (about p * eps * lambda_max).  Neither can where G itself is singular.
+    """
+    lo, hi = float(data.gram_evals[0]), float(data.gram_evals[-1])
+    floor = 2 * _RANK_EPS * hi
+    return (float(np.minimum.reduce(w)) * lo > floor
+            or lo - float((1.0 - w) @ data.row_norms_sq) / data.n > floor)
+
+
 def _check_finite(a, name):
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} must contain only finite values")

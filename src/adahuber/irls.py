@@ -4,15 +4,14 @@ squares baseline."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    _RANK_EPS,
     Dataset,
     RankDeficientError,
+    _certified,
     _check_rank,
     _check_tau,
     _hloss_score,
@@ -112,12 +111,11 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
     so no step can recur along a strictly falling loss, and the iteration
     cannot cycle.
 
-    Newton runs only where H is certified without a decomposition: H is the
-    Gram matrix minus the clipped rows' x_i x_i'/n, so by Weyl's inequality
-    its smallest eigenvalue is at least that of ``data.gram`` minus the sum
-    of ``data.row_norms_sq`` over the clipped rows, divided by n.  The bound
-    must clear twice solve_spd's singularity threshold; it cannot where OLS
-    is rank-deficient.
+    Both systems have weights in [0, 1], and ``core._certified`` bounds their
+    smallest eigenvalue from the Gram spectrum and the row norms.  A Newton
+    step is taken only where that bound certifies H; an IRLS system it
+    certifies is solved directly, and any other goes through solve_spd's
+    exact rank check.  Neither is certified where OLS is rank-deficient.
 
     Warm-started at the cached OLS solution ``data.ols_beta`` (zero vector if
     OLS is rank-deficient).  Stops once the coefficient change drops below
@@ -130,17 +128,6 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
     except RankDeficientError:
         beta = np.zeros(data.p)
     design, y, n = data.design, data.y, data.n
-    # With 0 < w <= 1, min(w) * gram <= X'WX/n <= gram, so cond(X'WX) is at
-    # most cond(gram) / min(w).  A sweep whose min(w) clears ``w_floor``
-    # would pass solve_spd's rank check and solves directly; the factor 2
-    # absorbs eigvalsh's rounding (about p * eps * lambda_max).
-    lo, hi = float(data.gram_evals[0]), float(data.gram_evals[-1])
-    w_floor = 2 * _RANK_EPS * hi / lo if lo > 0 else math.inf
-    # Newton's H passes the same check while the clipped rows' squared norms
-    # sum to less than ``room``, which is not positive unless OLS is
-    # full-rank.
-    room = n * (lo - 2 * _RANK_EPS * hi)
-    row_sq = data.row_norms_sq
     grad_tol = 1e-6 * (1.0 + _norm(y))
 
     def weighted_gram(w):
@@ -159,9 +146,9 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
 
     for _ in range(cfg.max_iter):
         clipped = np.abs(resid) > tau
-        point = None
-        if clipped.any() and row_sq[clipped].sum() < room:
-            beta_new = np.linalg.solve(weighted_gram(1.0 - clipped),
+        w, point = 1.0 - clipped, None  # the Newton weights
+        if clipped.any() and _certified(data, w):
+            beta_new = np.linalg.solve(weighted_gram(w),
                                        design.T @ np.where(clipped, psi, y) / n)
             point = evaluate(beta_new)
             if not (point[2] < obj or np.array_equal(beta_new, beta)):
@@ -170,7 +157,7 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
             w = _weight(resid, tau)
             gram = weighted_gram(w)
             rhs = design.T @ (w * y) / n
-            if np.minimum.reduce(w) > w_floor:
+            if _certified(data, w):
                 beta_new = np.linalg.solve(gram, rhs)
             else:
                 beta_new = solve_spd(gram, rhs)

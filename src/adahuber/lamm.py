@@ -40,14 +40,14 @@ KKT_TOL = 1e-4
 def lamm_step(beta, data: Dataset, tau, lam, phi) -> np.ndarray:
     """One proximal update at curvature phi * s_j on coordinate j: soft-threshold
     beta_j - g_j/(phi s_j) at lam/(phi s_j); the intercept coordinate, when
-    present, takes the plain scaled gradient step."""
+    present, has no penalty and so takes the plain scaled gradient step."""
     if not phi > 0:
         raise ValueError(f"phi must be positive, got {phi!r}")
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam!r}")
     beta = np.asarray(beta, dtype=float).ravel()
-    return _step(beta, gradient(beta, data, tau), lam, phi * _scale(data),
-                 data.intercept)
+    return _step(beta, gradient(beta, data, tau), lam * data.penalty_mask,
+                 phi * _scale(data))
 
 
 def majorization_holds(beta_new, beta_old, data: Dataset, tau, phi) -> bool:
@@ -74,13 +74,11 @@ def _scale(data: Dataset) -> np.ndarray:
 
 
 # validation-free kernels shared by the public wrappers and the solver loop;
-# phi in _step is one curvature per coordinate
-def _step(beta, grad, lam, phi, intercept):
+# pen and phi in _step are one penalty (0 for the intercept) and one
+# curvature per coordinate
+def _step(beta, grad, pen, phi):
     v = beta - grad / phi
-    out = _soft_threshold(v, lam / phi)
-    if intercept:
-        out[-1] = v[-1]
-    return out
+    return _soft_threshold(v, pen / phi)
 
 
 def _majorizes(loss_new, loss_old, grad, diff, phi, scale) -> bool:
@@ -132,7 +130,8 @@ def fit_l1_huber(
     """
     cfg = cfg or LAMM_DEFAULTS
     tau, lam, kkt_tol = params.tau, params.lam, min(KKT_TOL, cfg.tol)
-    design, y, n, d, mask = data.design, data.y, data.n, data.d, data.penalty_mask
+    design, y, n, mask = data.design, data.y, data.n, data.penalty_mask
+    pen = lam * mask
     scale = _scale(data)
     trials, grads, sweeps = [], 0, 0
 
@@ -152,7 +151,7 @@ def fit_l1_huber(
         if cols is None:
             loss_z, grad_z = loss_grad(r_z)
             for inner in itertools.count(1):
-                u = _step(z, grad_z, lam, phi * scale, data.intercept)
+                u = _step(z, grad_z, pen, phi * scale)
                 r_u = y - design @ u
                 loss_u = _mean(_hloss_score(r_u, tau)[0])
                 if _majorizes(loss_u, loss_z, grad_z, u - z, phi, scale):
@@ -162,7 +161,7 @@ def fit_l1_huber(
                     raise NumericalFailureError("quadratic parameter overflow")
             trials.append(inner)
 
-            f_u = loss_u + lam * float(np.abs(u[:d]).sum())  # intercept (last) is free
+            f_u = loss_u + lam * float(np.abs(u[mask]).sum())
             stalled = z is beta and not f_u < f_beta
             if f_u > f_beta:  # safeguard: keep beta, restart the momentum there
                 z, r_z, t, step = beta, r_beta, 1.0, np.inf
@@ -176,11 +175,11 @@ def fit_l1_huber(
                     z, r_z = u + theta * move, r_u + theta * (r_u - r_beta)
                 beta, r_beta, f_beta, t, grad = u, r_u, f_u, t_next, None
         else:  # r_beta may be y itself, so the sweep works on a copy
-            stalled = not _sweep(cols, beta, r_beta.copy(), scale, mask, tau, lam)
+            stalled = not _sweep(cols, beta, r_beta.copy(), scale, pen, tau)
             sweeps += 1
             r_beta = y - design @ beta  # fresh, so no drift carries over
             loss, grad = loss_grad(r_beta)
-            f_beta = loss + lam * float(np.abs(beta[:d]).sum())
+            f_beta = loss + lam * float(np.abs(beta[mask]).sum())
             step = 0.0  # every sweep takes the KKT test
         traj.append(f_beta)
         if step <= cfg.tol or stalled:
@@ -202,14 +201,14 @@ def fit_l1_huber(
     )
 
 
-def _sweep(cols, beta, resid, scale, mask, tau, lam) -> bool:
+def _sweep(cols, beta, resid, scale, pen, tau) -> bool:
     """One cyclic coordinate-descent pass, in place on ``beta`` and ``resid``;
     returns whether it moved any coordinate.
 
     Coordinate j takes the ``_step`` of its one-dimensional surrogate at
     curvature s_j, which majorizes the loss along x_j exactly because
     psi' <= 1, so in exact arithmetic no pass raises the objective; the
-    unpenalized intercept (mask False) takes the plain step.  The pass
+    unpenalized intercept (pen 0) takes the plain step.  The pass
     updates ``resid`` as it goes, while the objective the caller records is
     recomputed from a fresh residual, so the recorded value can still rise
     by float noise: +1.8e-15 on an objective of 10.7 has been seen, and the
@@ -217,7 +216,7 @@ def _sweep(cols, beta, resid, scale, mask, tau, lam) -> bool:
     n, moved = resid.shape[0], False
     for j in range(beta.shape[0]):
         grad = -(cols[j:j + 1] @ _score(resid, tau)) / n
-        new = _step(beta[j:j + 1], grad, lam, scale[j:j + 1], not mask[j])[0]
+        new = _step(beta[j:j + 1], grad, pen[j:j + 1], scale[j:j + 1])[0]
         if new != beta[j]:
             resid -= (new - beta[j]) * cols[j]
             beta[j] = new

@@ -159,15 +159,13 @@ def _map_ordered(fn, shape: tuple, threads: int | None) -> list:
     # every experiment maps its replications through here: fn(*index) for
     # each index of the grid ``shape``, results in row-major order.  Worker w
     # takes the strided share indices[w::workers], so each worker gets an
-    # equal part of every noise family or cell.  Where the platform has
-    # fork, the caller runs share 0 itself and forks workers - 1 children,
-    # each reaped before the call returns; elsewhere the map is serial
+    # equal part of every noise family or cell.  The caller runs share 0
+    # itself and forks workers - 1 children, each reaped before the call
+    # returns; without fork there is one worker, so the map is serial
     if min(shape) < 1:
         raise ValueError("an experiment needs reps >= 1 and nonempty grids")
     indices = list(np.ndindex(*shape))
-    workers = min(resolve_threads(threads), len(indices))
-    if workers == 1 or not _FORK:
-        return [fn(*index) for index in indices]
+    workers = min(resolve_threads(threads), len(indices) if _FORK else 1)
     _flush_std_streams()  # a child must not write the caller's buffered output
     reads, pids, payloads = [], [], []  # per child: pipe read end, pid, bytes
     try:
@@ -484,7 +482,7 @@ def check_bias_decay(
     raw, _ = gen_linear_data(spec)
     data = Dataset(raw.x, raw.y, intercept=True)
     target = np.append(beta, 0.0)
-    gram_inv = np.linalg.inv(data.gram)
+    trace_inv = float(np.sum(1.0 / data.gram_evals))  # trace of gram^-1
 
     rows = []
     for tau in tau_grid:
@@ -492,17 +490,12 @@ def check_bias_decay(
         resid = data.y - data.design @ fit.beta
         psi = _score(resid, tau)
         active = float(np.mean(np.abs(resid) <= tau))
-        cov = (
-            float(np.mean(psi**2))
-            / max(active, 1e-12) ** 2
-            * gram_inv
-            / data.n
-        )
+        var = float(np.mean(psi**2)) / max(active, 1e-12) ** 2 * trace_inv / data.n
         rows.append(
             {
                 "tau": float(tau),
                 "bias_l2": float(np.linalg.norm(fit.beta - target)),
-                "stderr_l2": float(math.sqrt(max(np.trace(cov), 0.0))),
+                "stderr_l2": math.sqrt(max(var, 0.0)),
                 "converged": fit.converged,
             }
         )

@@ -75,3 +75,25 @@ def test_lamm_has_one_iteration_loop():
     assert all(it == "range(cfg.max_iter)" or it.startswith("itertools.count(")
                for it in iters), iters
     assert not [node for node in ast.walk(fit) if isinstance(node, ast.While)]
+
+
+def test_the_rank_rule_lives_in_core():
+    """One rank rule: only ``core`` names the singularity threshold
+    ``_RANK_EPS``, and ``irls`` certifies its solves through
+    ``core._certified`` instead of reading the Gram spectrum or the row norms
+    itself."""
+    def names(path):
+        out = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.add(node.name)
+        return out
+
+    threshold = {path.name for path in sorted(SRC.glob("*.py"))
+                 if "_RANK_EPS" in names(path)}
+    assert threshold == {"core.py"}, sorted(threshold)
+    assert not names(SRC / "irls.py") & {"gram_evals", "row_norms_sq"}

@@ -9,6 +9,8 @@ from adahuber.core import (
     _RANK_EPS,
     Dataset,
     RankDeficientError,
+    _certified,
+    _check_rank,
     _hloss_score,
     _mean,
     _weight,
@@ -329,6 +331,42 @@ def test_sweep_matches_the_exact_check_oracle(monkeypatch):
 
     check()
     assert sweeps["certified"] > 0 and sweeps["exact"] > 0
+
+
+@st.composite
+def certificate_weights(draw):
+    """Weights in [0, 1] of the three kinds fit_huber certifies: IRLS weights
+    of random residuals at the case's tau, 0/1 Newton masks that keep a
+    given number of rows, and uniform weights in (0, 1]."""
+    kind = draw(st.sampled_from(["irls", "newton", "uniform"]))
+    return (kind, draw(st.integers(0, 2**32 - 1)),
+            draw(st.floats(-3, 3)), draw(st.integers(0, 60)))
+
+
+def test_certificate_implies_the_exact_rank_check():
+    seen = {True: 0, False: 0}
+
+    @settings(max_examples=400, derandomize=True)
+    @given(irls_cases(), certificate_weights())
+    def check(case, weights):
+        data, tau = irls_case_data(case)
+        kind, seed, log_size, kept = weights
+        rng, n = np.random.default_rng(seed), data.n
+        if kind == "irls":
+            w = _weight(10.0 ** log_size * rng.standard_t(1.5, n), tau)
+        elif kind == "newton":
+            w = np.zeros(n)
+            w[rng.permutation(n)[:kept]] = 1.0
+        else:
+            w = 1.0 - rng.random(n)
+        certified = _certified(data, w)
+        seen[certified] += 1
+        if certified:
+            _check_rank(np.linalg.eigvalsh((data.design * w[:, None]).T
+                                           @ data.design / n))
+
+    check()
+    assert seen[True] > 0 and seen[False] > 0
 
 
 # relative objective gap between two converged fits; measured at most 3.7e-11

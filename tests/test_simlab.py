@@ -392,18 +392,17 @@ def test_moment_checks_reject_a_bad_worker_count_before_any_work(monkeypatch):
 
 # ------------------------------------------------------------------ bias decay
 
-def test_bias_decay_inverts_the_gram_matrix_once(monkeypatch):
-    real, calls = np.linalg.inv, []
+def test_bias_decay_factors_the_gram_matrix_once(monkeypatch, eigvalsh_calls):
+    """The standard errors read trace(gram^-1) off the cached spectrum: one
+    eigvalsh per call, not one per tau, and no inverse."""
+    def no_inverse(a):
+        raise AssertionError("check_bias_decay inverts a matrix")
 
-    def counted(a):
-        calls.append(a.shape)
-        return real(a)
-
-    monkeypatch.setattr(np.linalg, "inv", counted)
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
     rows = check_bias_decay(NoiseSpec.normal(1.0), [1.0, 2.0, 4.0],
                             n_large=2000, seed=3)
     assert len(rows) == 3
-    assert calls == [(6, 6)]
+    assert [a.shape for a in eigvalsh_calls] == [(6, 6)]
 
 
 def test_bias_decay_symmetric_noise_is_noise_level():
