@@ -12,9 +12,11 @@ __version__ = "0.1.0"
 from .core import (
     Dataset,
     DegenerateSampleError,
+    FitResult,
     HuberParams,
     NumericalFailureError,
     RankDeficientError,
+    SolverConfig,
     gradient,
     huber_loss,
     huber_score,
@@ -25,7 +27,7 @@ from .core import (
     soft_threshold,
     truncate_matrix,
 )
-from .irls import FitResult, SolverConfig, fit_huber, fit_ols
+from .irls import fit_huber, fit_ols
 from .lamm import fit_l1_huber, kkt_satisfied, lamm_step, majorization_holds
 from .truncated import default_truncation_params, fit_truncated, predict_truncated
 from .tuning import (

@@ -22,8 +22,8 @@ from .core import (
     mae,
     predict,
 )
-from .irls import IRLS_DEFAULTS, LAMM_DEFAULTS, fit_huber
-from .lamm import fit_l1_huber
+from .irls import IRLS_DEFAULTS, fit_huber
+from .lamm import LAMM_DEFAULTS, fit_l1_huber
 from .simlab import (
     GENERATOR_ID,
     ExperimentReport,

@@ -1,9 +1,10 @@
 """Numerical kernel for adaptive Huber regression.
 
-Huber loss and its derivative, IRLS weights, the empirical objective and
-gradient, soft-thresholding, elementwise covariate clamping, and the mean
-absolute error of a prediction.  All functions are pure; scalar inputs give
-scalar outputs, arrays give arrays.
+The records every solver shares (``Dataset``, ``HuberParams``, ``SolverConfig``
+and ``FitResult``), Huber loss and its derivative, IRLS weights, the empirical
+objective and gradient, soft-thresholding, elementwise covariate clamping, and
+the mean absolute error of a prediction.  All functions are pure; scalar
+inputs give scalar outputs, arrays give arrays.
 Non-finite inputs are rejected eagerly instead of being propagated.
 """
 
@@ -188,6 +189,55 @@ class HuberParams:
             not np.isfinite(self.varpi) or self.varpi <= 0
         ):
             raise ValueError(f"varpi must be positive, got {self.varpi!r}")
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Iteration knobs shared by the solvers.
+
+    tol       stopping threshold on the coefficient change ||b_new - b_old||_2
+    max_iter  outer-iteration cap; exceeding it is a soft failure
+    """
+
+    tol: float = 1e-4
+    max_iter: int = 5000
+
+    def __post_init__(self):
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
+
+
+@dataclass(frozen=True)
+class FitResult:
+    """Outcome of a regression fit.
+
+    beta        fitted coefficients (working-design order; intercept last)
+    iterations  number of outer iterations performed (for LAMM, including
+                the coordinate sweeps that finish a fit at the float floor)
+    objective   final (penalized, where applicable) objective value
+    grad_norm   l2 norm of the smooth-loss gradient at ``beta``
+    stop_reason "converged", "max_iter" or "no_descent" (LAMM at the float floor)
+    trajectory  objective value per iteration, when recorded
+    max_inner   largest inner-majorization retry count (LAMM only)
+    matvecs, inner_total   design products and surrogate trials (LAMM only)
+    """
+
+    beta: np.ndarray
+    iterations: int
+    objective: float
+    grad_norm: float
+    stop_reason: str
+    trajectory: tuple | None = None
+    max_inner: int | None = None
+    matvecs: int | None = None
+    inner_total: int | None = None
+
+    @property
+    def converged(self) -> bool:
+        """Whether the fit stopped at a solution (stop_reason "converged")."""
+        return self.stop_reason == "converged"
 
 
 def _as_float_array(x, name):

@@ -42,8 +42,7 @@ _CHUNK = 1 << 20
 
 
 def _scan(path: str):
-    """One pass over the raw bytes of ``path``: the number of lines and
-    whether any byte is a double quote.
+    """One pass over the raw bytes of ``path``: the number of lines.
 
     A line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as both body parsers
     split them.  The first byte that is not UTF-8 raises CsvFormatError with
@@ -51,7 +50,6 @@ def _scan(path: str):
     """
     decoder = codecs.getincrementaldecoder("utf-8")()
     breaks = offset = 0
-    quoted = False
     last = b""
     with open(path, "rb") as fh:
         while True:
@@ -71,10 +69,9 @@ def _scan(path: str):
                 breaks += chunk.count(b"\r") - chunk.count(b"\r\n")
             if last == b"\r" and chunk.startswith(b"\n"):
                 breaks -= 1  # a \r\n split across two reads
-            quoted = quoted or b'"' in chunk
             offset += len(chunk)
             last = chunk[-1:]
-    return breaks + (last not in (b"", b"\n", b"\r")), quoted
+    return breaks + (last not in (b"", b"\n", b"\r"))
 
 
 def _loadtxt_body(path: str, delimiter: str, shape):
@@ -125,9 +122,10 @@ def read_table(path: str, delimiter: str = ","):
     Header names are stripped of surrounding blanks, and a leading byte-order
     mark is dropped.  A ragged row, a cell that does not parse as a decimal
     real, or a non-finite cell aborts the read with its row number (the
-    header is row 1) and column name.  A body without quotes is parsed by
-    numpy's C reader; anything it does not accept goes through the row
-    parser, which gives every error message.
+    header is row 1) and column name.  Under a header on one line, the body
+    is parsed by numpy's C reader, which refuses any quoted cell; anything it
+    does not accept goes through the row parser, which gives every error
+    message.
     """
     if len(delimiter) != 1:
         raise CsvFormatError(f"delimiter must be a single character, got {delimiter!r}")
@@ -136,13 +134,13 @@ def read_table(path: str, delimiter: str = ","):
             f"delimiter {delimiter!r} cannot separate fields: it quotes or ends a line")
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such file: {path}")
-    lines, quoted = _scan(path)
+    lines = _scan(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = [h.strip() for h in next(reader)]
-            matrix = None if quoted else _loadtxt_body(path, delimiter,
-                                                       (lines - 1, len(header)))
+            matrix = (_loadtxt_body(path, delimiter, (lines - 1, len(header)))
+                      if reader.line_num == 1 else None)  # loadtxt skips one line
             if matrix is None:
                 matrix = _parse_rows(path, reader, header)
         except StopIteration:

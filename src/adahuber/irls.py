@@ -4,13 +4,13 @@ squares baseline."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
     Dataset,
+    FitResult,
     RankDeficientError,
+    SolverConfig,
     _certified,
     _check_rank,
     _check_tau,
@@ -20,56 +20,9 @@ from .core import (
     _weight,
 )
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Iteration knobs shared by the solvers.
-
-    tol       stopping threshold on the coefficient change ||b_new - b_old||_2
-    max_iter  outer-iteration cap; exceeding it is a soft failure
-    """
-
-    tol: float = 1e-4
-    max_iter: int = 5000
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-
-
 # Tighter coefficient tolerance for IRLS: each sweep is a full least-squares
 # solve, and the dimension is small in the unpenalized regime.
 IRLS_DEFAULTS = SolverConfig(tol=1e-8, max_iter=500)
-LAMM_DEFAULTS = SolverConfig(tol=1e-4, max_iter=5000)
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Outcome of a regression fit.
-
-    beta        fitted coefficients (working-design order; intercept last)
-    iterations  number of outer iterations performed (for LAMM, including
-                the coordinate sweeps that finish a fit at the float floor)
-    converged   whether stop_reason == "converged"
-    objective   final (penalized, where applicable) objective value
-    grad_norm   l2 norm of the smooth-loss gradient at ``beta``
-    trajectory  objective value per iteration, when recorded
-    max_inner   largest inner-majorization retry count (LAMM only)
-    stop_reason "converged", "max_iter" or "no_descent" (LAMM at the float floor)
-    matvecs, inner_total   design products and surrogate trials (LAMM only)
-    """
-
-    beta: np.ndarray
-    iterations: int
-    converged: bool
-    objective: float
-    grad_norm: float
-    trajectory: tuple | None = None
-    max_inner: int | None = None
-    stop_reason: str | None = None
-    matvecs: int | None = None
-    inner_total: int | None = None
 
 
 def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -87,7 +40,6 @@ def fit_ols(data: Dataset) -> FitResult:
     return FitResult(
         beta=beta,
         iterations=1,
-        converged=True,
         objective=0.5 * _mean(resid**2),
         grad_norm=_norm(grad),
         stop_reason="converged",
@@ -99,17 +51,15 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
     iteratively reweighted least-squares sweep as the fallback.
 
     The Huber objective is quadratic on the rows with |r| <= tau and linear on
-    the clipped rest.  Where some row is clipped, a sweep first solves
-    H b = X'(c*y + (1-c)*psi)/n with c = 1{|r| <= tau} and H = X'diag(c)X/n:
-    the exact minimizer once the clipped set stops changing.  The step is kept
-    only if it strictly lowers the loss or returns the current coefficients;
-    otherwise, and whenever no row is clipped (where the two systems agree),
-    the sweep solves the weighted normal equations with weights
-    ``irls_weight(residual, tau)``, which majorize the Huber objective.  So
-    the recorded loss trajectory is nonincreasing, up to rounding in the loss
-    itself.  A Newton step depends only on the clipped rows and their signs,
-    so no step can recur along a strictly falling loss, and the iteration
-    cannot cycle.
+    the clipped rest.  A sweep first solves H b = X'(c*y + (1-c)*psi)/n with
+    c = 1{|r| <= tau} and H = X'diag(c)X/n: the exact minimizer once the
+    clipped set stops changing.  The step is kept only if it strictly lowers
+    the loss or returns the current coefficients; otherwise the sweep solves
+    the weighted normal equations with weights ``irls_weight(residual, tau)``,
+    which majorize the Huber objective.  So the recorded loss trajectory is
+    nonincreasing, up to rounding in the loss itself.  A Newton step depends
+    only on the clipped rows and their signs, so no step can recur along a
+    strictly falling loss, and the iteration cannot cycle.
 
     Both systems have weights in [0, 1], and ``core._certified`` bounds their
     smallest eigenvalue from the Gram spectrum and the row norms.  A Newton
@@ -140,14 +90,12 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
         return r, psi, _mean(loss)
 
     resid, psi, obj = evaluate(beta)
-    traj = [obj]
-    converged = False
-    iterations = 0
+    traj, stop_reason = [obj], "max_iter"
 
     for _ in range(cfg.max_iter):
         clipped = np.abs(resid) > tau
         w, point = 1.0 - clipped, None  # the Newton weights
-        if clipped.any() and _certified(data, w):
+        if _certified(data, w):
             beta_new = np.linalg.solve(weighted_gram(w),
                                        design.T @ np.where(clipped, psi, y) / n)
             point = evaluate(beta_new)
@@ -165,20 +113,18 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
         step = _norm(beta_new - beta)
         beta = beta_new
         resid, psi, obj = point
-        iterations += 1
         traj.append(obj)
         if step <= cfg.tol and _norm(design.T @ psi / n) <= grad_tol:
-            converged = True
+            stop_reason = "converged"
             break
 
     # the gradient is -design.T @ psi / n; its sign does not change the norm
     grad_norm = _norm(design.T @ psi / n)
     return FitResult(
         beta=beta,
-        iterations=iterations,
-        converged=converged,
+        iterations=len(traj) - 1,
         objective=traj[-1],
         grad_norm=grad_norm,
+        stop_reason=stop_reason,
         trajectory=tuple(traj),
-        stop_reason="converged" if converged else "max_iter",
     )

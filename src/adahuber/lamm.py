@@ -14,8 +14,10 @@ import numpy as np
 
 from .core import (
     Dataset,
+    FitResult,
     HuberParams,
     NumericalFailureError,
+    SolverConfig,
     _hloss_score,
     _mean,
     _score,
@@ -23,7 +25,8 @@ from .core import (
     empirical_loss,
     gradient,
 )
-from .irls import LAMM_DEFAULTS, FitResult, SolverConfig
+
+LAMM_DEFAULTS = SolverConfig(tol=1e-4, max_iter=5000)
 
 # Absolute slack absorbing float noise in the surrogate-vs-loss comparison.
 _MAJORIZE_SLACK = 1e-12
@@ -133,7 +136,7 @@ def fit_l1_huber(
     design, y, n, mask = data.design, data.y, data.n, data.penalty_mask
     pen = lam * mask
     scale = _scale(data)
-    trials, grads, sweeps = [], 0, 0
+    trials, grads = [], 0
 
     def loss_grad(resid):  # at the point with these residuals: one product
         nonlocal grads
@@ -146,7 +149,7 @@ def fit_l1_huber(
     beta, r_beta = np.zeros(data.p), y
     f_beta = _mean(_hloss_score(y, tau)[0])
     z, r_z, t, phi, grad = beta, y, 1.0, 1.0, None
-    traj, converged, stop_reason, cols = [f_beta], False, "max_iter", None
+    traj, stop_reason, cols = [f_beta], "max_iter", None
     for _ in range(cfg.max_iter):
         if cols is None:
             loss_z, grad_z = loss_grad(r_z)
@@ -176,7 +179,6 @@ def fit_l1_huber(
                 beta, r_beta, f_beta, t, grad = u, r_u, f_u, t_next, None
         else:  # r_beta may be y itself, so the sweep works on a copy
             stalled = not _sweep(cols, beta, r_beta.copy(), scale, pen, tau)
-            sweeps += 1
             r_beta = y - design @ beta  # fresh, so no drift carries over
             loss, grad = loss_grad(r_beta)
             f_beta = loss + lam * float(np.abs(beta[mask]).sum())
@@ -192,10 +194,11 @@ def fit_l1_huber(
                 break
 
     grad = loss_grad(r_beta)[1] if grad is None else grad
+    sweeps = len(traj) - 1 - len(trials)
     return FitResult(
-        beta=beta, iterations=len(trials) + sweeps, converged=converged,
-        objective=f_beta, grad_norm=float(np.linalg.norm(grad)),
-        trajectory=tuple(traj), max_inner=max(trials), stop_reason=stop_reason,
+        beta=beta, iterations=len(traj) - 1, objective=f_beta,
+        grad_norm=float(np.linalg.norm(grad)), stop_reason=stop_reason,
+        trajectory=tuple(traj), max_inner=max(trials),
         # a sweep: its column passes (a product each way) and a fresh residual
         matvecs=sum(trials) + grads + 3 * sweeps, inner_total=sum(trials),
     )

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LIBRARY_ERRORS, Dataset, DegenerateSampleError, HuberParams, _score
-from .irls import SolverConfig, fit_huber, fit_ols
+from .core import (LIBRARY_ERRORS, Dataset, DegenerateSampleError, HuberParams,
+                   SolverConfig, _score)
+from .irls import fit_huber, fit_ols
 from .lamm import fit_l1_huber
 from .tuning import (
     TuningGrid,

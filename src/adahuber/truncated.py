@@ -7,8 +7,8 @@ import math
 
 import numpy as np
 
-from .core import Dataset, HuberParams, predict, truncate_matrix
-from .irls import FitResult, SolverConfig
+from .core import (Dataset, FitResult, HuberParams, SolverConfig, predict,
+                   truncate_matrix)
 from .lamm import fit_l1_huber
 from .tuning import effective_sample_size
 

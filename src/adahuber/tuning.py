@@ -232,7 +232,6 @@ def lepski_select(data: Dataset, K: float = 3.0, a: float = 1.5):
         )
     resid = y - design @ data.ols_beta  # rejects a singular gram before eigh's roots
     evals, vecs = np.linalg.eigh(data.gram)
-    root = (vecs * np.sqrt(evals)) @ vecs.T
     inv_root = (vecs / np.sqrt(evals)) @ vecs.T
     l_tilde = float(np.max(np.abs(design @ inv_root)))
 
@@ -244,12 +243,9 @@ def lepski_select(data: Dataset, K: float = 3.0, a: float = 1.5):
     taus = sigmas * math.sqrt(n / t)
     fits = [fit_huber(data, tau) for tau in taus]
 
-    m = len(fits)
-    distances = np.zeros((m, m))
-    for j in range(m):
-        for k in range(j + 1, m):
-            diff = root @ (fits[k].beta - fits[j].beta)
-            distances[j, k] = distances[k, j] = float(np.linalg.norm(diff))
+    # ||G^(1/2) (beta_k - beta_j)|| = ||sqrt(evals) * vecs' (beta_k - beta_j)||
+    whitened = np.array([fit.beta for fit in fits]) @ vecs * np.sqrt(evals)
+    distances = np.linalg.norm(whitened[:, None] - whitened[None], axis=-1)
     thresholds = 8.0 * l_tilde * sigmas * math.sqrt(p) * math.sqrt(t / n)
 
     j_hat, fallback = choose_lepski_index(distances, thresholds)

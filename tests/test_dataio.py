@@ -62,6 +62,9 @@ def csv_files(draw):
 # loadtxt reads this body as two rows, as many as its lines if a lone \r
 # did not end one, and skips the blank line that the row parser rejects
 @example((b"y,x\n1,2\r3,4\n\n", ","), 1 << 20)
+# an unterminated quote makes the whole file one header cell: no data rows,
+# where loadtxt, skipping only the first line, would read two
+@example((b'"y\n1\n2\n', ","), 1 << 20)
 @given(csv_files(), st.sampled_from([3, 1 << 20]))
 def test_fast_path_agrees_with_row_parser(tmp_path_factory, file, chunk):
     body, delimiter = file
@@ -71,14 +74,18 @@ def test_fast_path_agrees_with_row_parser(tmp_path_factory, file, chunk):
         assert outcome(path, delimiter) == row_parser_outcome(path, delimiter)
 
 
-@pytest.mark.parametrize("newline,chunk", [("\n", 1 << 20), ("\r\n", 1 << 20),
-                                           ("\r\n", 4), ("\r", 5)])
-def test_plain_file_takes_the_fast_path(tmp_path, newline, chunk):
+@pytest.mark.parametrize("newline,chunk,header", [
+    *(pytest.param(newline, chunk, b"y,x1,x2,x3", id=f"{newline}-{chunk}")
+      for newline, chunk in [("\n", 1 << 20), ("\r\n", 1 << 20),
+                             ("\r\n", 4), ("\r", 5)]),
+    pytest.param("\n", 1 << 20, b'"y","x1","x2","x3"', id="quoted-header")])
+def test_plain_file_takes_the_fast_path(tmp_path, newline, chunk, header):
     rng = np.random.default_rng(9)
     data = Dataset(rng.standard_normal((1000, 3)) * 1e3, rng.standard_t(1.5, 1000))
     path = tmp_path / "d.csv"
     save_csv(data, str(path))
-    path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+    text = path.read_bytes().replace(b"y,x1,x2,x3", header, 1)
+    path.write_bytes(text.replace(b"\n", newline.encode()))
     with mock.patch.object(dataio, "_CHUNK", chunk), \
             mock.patch.object(dataio, "_parse_rows", side_effect=AssertionError):
         back = load_csv(str(path), "y")

@@ -97,3 +97,22 @@ def test_the_rank_rule_lives_in_core():
                  if "_RANK_EPS" in names(path)}
     assert threshold == {"core.py"}, sorted(threshold)
     assert not names(SRC / "irls.py") & {"gram_evals", "row_norms_sq"}
+
+
+def test_the_fit_record_lives_in_core():
+    """``FitResult`` and ``SolverConfig`` live in ``core``: ``lamm`` and
+    ``truncated`` import nothing from ``irls``, and a fit's stop is stored
+    once, as ``stop_reason``, with no ``converged`` field beside it."""
+    from_irls = set()
+    for name in ("lamm.py", "truncated.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "irls":
+                from_irls.add(name)
+    assert not from_irls, sorted(from_irls)
+
+    core = ast.parse((SRC / "core.py").read_text(encoding="utf-8"))
+    record = next(c for c in ast.walk(core)
+                  if isinstance(c, ast.ClassDef) and c.name == "FitResult")
+    fields = [s.target.id for s in record.body if isinstance(s, ast.AnnAssign)]
+    assert "stop_reason" in fields
+    assert "converged" not in fields, fields
