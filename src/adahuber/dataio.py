@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import codecs
 import csv
+import io
+import itertools
 import json
 import math
 import os
@@ -15,6 +17,7 @@ import warnings
 
 import numpy as np
 
+from ._forkjoin import _map_ordered
 from .core import Dataset
 
 
@@ -37,20 +40,33 @@ def _json_value(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
-# bytes per read of the pre-parse scan
+# bytes per read of the pre-parse scan, and so about the size of one share
+# of the body
 _CHUNK = 1 << 20
 
 
+def _breaks(data: bytes) -> int:
+    # the lines that end in ``data``
+    breaks = data.count(b"\n")
+    if b"\r" in data:
+        breaks += data.count(b"\r") - data.count(b"\r\n")
+    return breaks
+
+
 def _scan(path: str):
-    """One pass over the raw bytes of ``path``: the number of lines.
+    """One pass over the raw bytes of ``path``: the number of lines and the
+    share starts of the body.
 
     A line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as both body parsers
-    split them.  The first byte that is not UTF-8 raises CsvFormatError with
-    its offset in the file.
+    split them.  Each read that holds a ``\\n`` gives one share start,
+    ``(offset, lines)``: the byte just after its first ``\\n`` and the number
+    of lines before that byte.  The first byte that is not UTF-8 raises
+    CsvFormatError with its offset in the file.
     """
     decoder = codecs.getincrementaldecoder("utf-8")()
     breaks = offset = 0
     last = b""
+    starts = []
     with open(path, "rb") as fh:
         while True:
             chunk = fh.read(_CHUNK)
@@ -64,34 +80,68 @@ def _scan(path: str):
                 ) from None
             if not chunk:
                 break
-            breaks += chunk.count(b"\n")
-            if b"\r" in chunk:
-                breaks += chunk.count(b"\r") - chunk.count(b"\r\n")
             if last == b"\r" and chunk.startswith(b"\n"):
                 breaks -= 1  # a \r\n split across two reads
+            first = chunk.find(b"\n") + 1
+            if first:
+                starts.append((offset + first, breaks + _breaks(chunk[:first])))
+            breaks += _breaks(chunk)
             offset += len(chunk)
             last = chunk[-1:]
-    return breaks + (last not in (b"", b"\n", b"\r"))
+    return breaks + (last not in (b"", b"\n", b"\r")), starts
 
 
-def _loadtxt_body(path: str, delimiter: str, shape):
-    """The body (every line after the header) parsed by numpy's C reader,
-    or None unless it is a float matrix of exactly ``shape``.
+def _loadtxt_share(path: str, delimiter: str, offset: int, skip: int,
+                   rows: int):
+    """The ``rows`` lines after the first ``skip`` from byte ``offset`` on,
+    parsed by numpy's C reader, or None if it raises ValueError.
 
-    loadtxt skips blank lines, which the row parser rejects, and refuses
-    some cells that ``float`` accepts (``1_0``, non-ASCII digits); the
-    shape check and the fallback on ValueError hand both to the row parser.
+    The lines are counted by the same universal-newline reader that loadtxt
+    uses on a path, blank ones included, so a share never reads into the
+    next one.
     """
     try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                    UserWarning)
-            matrix = np.loadtxt(path, delimiter=delimiter, comments=None,
-                                skiprows=1, ndmin=2, dtype=np.float64,
-                                encoding="utf-8")
+        with open(path, "rb") as raw:
+            raw.seek(offset)
+            with io.TextIOWrapper(raw, encoding="utf-8", newline=None) as text, \
+                    warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                return np.loadtxt(itertools.islice(text, skip, skip + rows),
+                                  delimiter=delimiter, comments=None, ndmin=2,
+                                  dtype=np.float64)
     except ValueError:
         return None
-    return matrix if matrix.shape == shape else None
+
+
+def _loadtxt_body(path: str, delimiter: str, width: int, lines: int,
+                  starts: list):
+    """The body (every line after the header) parsed by numpy's C reader,
+    or None unless it is a float matrix of ``lines - 1`` rows and ``width``
+    columns.
+
+    The body is cut at the ``_scan`` share starts, the shares are parsed on
+    the ``resolve_threads()`` workers of the fork-join and joined in order;
+    each float is parsed on its own, so the matrix is the same at any
+    worker count.  loadtxt skips blank lines, which the row parser rejects,
+    and refuses some cells that ``float`` accepts (``1_0``, non-ASCII
+    digits); the shape check and the fallback on ValueError hand both to the
+    row parser.
+    """
+    bounds = [(0, 0), *starts, (None, lines)]
+    shares = []  # (offset, lines to skip, rows)
+    for (offset, begin), (_, end) in zip(bounds, bounds[1:]):
+        skip = int(begin == 0)  # the header opens share 0
+        if end - begin > skip:  # share 0 may hold only the header
+            shares.append((offset, skip, end - begin - skip))
+    if not shares:
+        return None
+    parts = _map_ordered(lambda i: _loadtxt_share(path, delimiter, *shares[i]),
+                         (len(shares),), None)
+    if any(part is None or part.shape != (rows, width)
+           for part, (_, _, rows) in zip(parts, shares)):
+        return None
+    return np.concatenate(parts)
 
 
 def _parse_rows(path: str, reader, header: list) -> np.ndarray:
@@ -123,9 +173,9 @@ def read_table(path: str, delimiter: str = ","):
     mark is dropped.  A ragged row, a cell that does not parse as a decimal
     real, or a non-finite cell aborts the read with its row number (the
     header is row 1) and column name.  Under a header on one line, the body
-    is parsed by numpy's C reader, which refuses any quoted cell; anything it
-    does not accept goes through the row parser, which gives every error
-    message.
+    is parsed by numpy's C reader, which refuses any quoted cell, in shares
+    on the fork-join workers; anything it does not accept goes through the
+    row parser, which gives every error message.
     """
     if len(delimiter) != 1:
         raise CsvFormatError(f"delimiter must be a single character, got {delimiter!r}")
@@ -134,13 +184,13 @@ def read_table(path: str, delimiter: str = ","):
             f"delimiter {delimiter!r} cannot separate fields: it quotes or ends a line")
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such file: {path}")
-    lines = _scan(path)
+    lines, starts = _scan(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = [h.strip() for h in next(reader)]
-            matrix = (_loadtxt_body(path, delimiter, (lines - 1, len(header)))
-                      if reader.line_num == 1 else None)  # loadtxt skips one line
+            matrix = (_loadtxt_body(path, delimiter, len(header), lines, starts)
+                      if reader.line_num == 1 else None)  # share 0 skips one line
             if matrix is None:
                 matrix = _parse_rows(path, reader, header)
         except StopIteration:

@@ -1,7 +1,11 @@
+import os
+import threading
+
 import hypothesis
 import numpy as np
 import pytest
 
+from adahuber import _forkjoin
 from adahuber.core import Dataset
 
 hypothesis.settings.register_profile(
@@ -41,3 +45,16 @@ def ols_solves(monkeypatch):
 
     monkeypatch.setattr(prop, "func", counted)
     return calls
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of active threads at each fork made while the test runs."""
+    real, counts = os.fork, []
+
+    def counted():
+        counts.append(threading.active_count())
+        return real()
+
+    monkeypatch.setattr(_forkjoin.os, "fork", counted)
+    return counts

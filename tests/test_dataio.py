@@ -1,5 +1,6 @@
 """read_table: numpy's C reader for plain bodies, the row parser for the rest."""
 
+import os
 import warnings
 from unittest import mock
 
@@ -70,8 +71,11 @@ def test_fast_path_agrees_with_row_parser(tmp_path_factory, file, chunk):
     body, delimiter = file
     path = tmp_path_factory.mktemp("diff") / "d.csv"
     path.write_bytes(body)
-    with mock.patch.object(dataio, "_CHUNK", chunk):
-        assert outcome(path, delimiter) == row_parser_outcome(path, delimiter)
+    expected = row_parser_outcome(path, delimiter)
+    for workers in ("1", "2", "3"):
+        with mock.patch.object(dataio, "_CHUNK", chunk), \
+                mock.patch.dict(os.environ, {"ADAHUBER_THREADS": workers}):
+            assert outcome(path, delimiter) == expected, workers
 
 
 @pytest.mark.parametrize("newline,chunk,header", [
@@ -91,6 +95,44 @@ def test_plain_file_takes_the_fast_path(tmp_path, newline, chunk, header):
         back = load_csv(str(path), "y")
     assert back.x.tobytes() == data.x.tobytes()
     assert back.y.tobytes() == data.y.tobytes()
+
+
+@pytest.mark.parametrize("chunk,forked", [(1 << 20, []), (64, [1])],
+                         ids=["one-share", "many-shares"])
+def test_only_a_body_of_several_shares_forks(tmp_path, monkeypatch, forks,
+                                            chunk, forked):
+    path = tmp_path / "d.csv"
+    path.write_text("y,x1\n" + "".join(f"{i},{i * i}\n" for i in range(100)))
+    monkeypatch.setenv("ADAHUBER_THREADS", "2")
+    with mock.patch.object(dataio, "_CHUNK", chunk), \
+            mock.patch.object(dataio, "_parse_rows", side_effect=AssertionError):
+        _, matrix = read_table(str(path))
+    assert matrix[:, 1].tolist() == [i * i for i in range(100)]
+    # many shares: one child, forked while no other thread ran; the caller
+    # is the second worker
+    assert forks == forked
+
+
+def test_read_refuses_a_worker_count_below_one(tmp_path, monkeypatch):
+    path = tmp_path / "d.csv"
+    path.write_text("y,x1\n1,2\n")
+    monkeypatch.setenv("ADAHUBER_THREADS", "0")
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        read_table(str(path))
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_blank_line_at_a_share_start_is_an_error(tmp_path, monkeypatch, workers):
+    # the reads of 8 bytes are "y,x\n1,2\n", "3,4\n\n5,6" and "\n7,8\n", so
+    # the third share starts on the blank line; a share bounded by rows that
+    # loadtxt counts would skip it and read one row of the share after it
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"y,x\n1,2\n3,4\n\n5,6\n7,8\n")
+    monkeypatch.setenv("ADAHUBER_THREADS", workers)
+    with mock.patch.object(dataio, "_CHUNK", 8):
+        assert dataio._scan(str(path)) == (6, [(4, 1), (12, 3), (17, 5)])
+        with pytest.raises(CsvFormatError, match="row 4 has 0 cells, expected 2"):
+            read_table(str(path))
 
 
 @pytest.mark.parametrize("text,message", [

@@ -116,3 +116,20 @@ def test_the_fit_record_lives_in_core():
     fields = [s.target.id for s in record.body if isinstance(s, ast.AnnAssign)]
     assert "stop_reason" in fields
     assert "converged" not in fields, fields
+
+
+def test_dataio_imports_neither_the_lab_nor_the_solvers():
+    """CSV parsing reaches the fork-join through ``_forkjoin``: ``dataio``
+    imports nothing from ``simlab``, ``tuning`` or the solvers."""
+    modules = set()
+    for node in ast.walk(ast.parse((SRC / "dataio.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        modules.update(name.split(".")[-1] for name in names)
+    assert "_forkjoin" in modules
+    assert not modules & {"simlab", "tuning", "irls", "lamm", "truncated"}, \
+        sorted(modules)

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from adahuber import simlab
+from adahuber import _forkjoin, simlab
 from adahuber.core import (
     DegenerateSampleError,
     NumericalFailureError,
@@ -254,50 +254,37 @@ def test_pooled_run_leaves_no_worker_process():
     assert_no_child_process()
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The number of active threads at each fork made while the test runs."""
-    real, counts = os.fork, []
-
-    def counted():
-        counts.append(threading.active_count())
-        return real()
-
-    monkeypatch.setattr(simlab.os, "fork", counted)
-    return counts
-
-
 def test_pool_starts_no_more_workers_than_indices(forks):
-    assert simlab._map_ordered(lambda i: i * i, (3,), 8) == [0, 1, 4]
+    assert _forkjoin._map_ordered(lambda i: i * i, (3,), 8) == [0, 1, 4]
     assert len(forks) == 2  # the caller is the third worker
-    assert simlab._map_ordered(lambda i: i, (1,), 8) == [0]
+    assert _forkjoin._map_ordered(lambda i: i, (1,), 8) == [0]
     assert len(forks) == 2  # one index runs in the caller
     assert_no_child_process()
 
 
 def test_map_starts_no_thread_before_it_forks(forks):
-    simlab._map_ordered(lambda i: i, (6,), 3)
+    _forkjoin._map_ordered(lambda i: i, (6,), 3)
     assert forks == [1, 1]
 
 
 def test_map_is_serial_without_fork(forks, monkeypatch):
-    monkeypatch.setattr(simlab, "_FORK", False)
-    assert simlab._map_ordered(lambda i, j: (i, j), (2, 2), 2) == [
+    monkeypatch.setattr(_forkjoin, "_FORK", False)
+    assert _forkjoin._map_ordered(lambda i, j: (i, j), (2, 2), 2) == [
         (0, 0), (0, 1), (1, 0), (1, 1)]
     assert forks == []
     with pytest.raises(ValueError, match="threads must be at least 1"):
-        simlab._map_ordered(lambda i: i, (2,), 0)
+        _forkjoin._map_ordered(lambda i: i, (2,), 0)
 
 
 def test_map_runs_one_share_in_the_caller():
-    pids = simlab._map_ordered(lambda i: os.getpid(), (5,), 2)
+    pids = _forkjoin._map_ordered(lambda i: os.getpid(), (5,), 2)
     assert len(set(pids)) == 2 and os.getpid() in pids
     assert pids[::2] == [os.getpid()] * 3  # the strided share 0
     assert_no_child_process()
 
 
 def test_map_returns_shares_larger_than_a_pipe_buffer():
-    out = simlab._map_ordered(lambda i: np.full(50_000, i), (4,), 3)
+    out = _forkjoin._map_ordered(lambda i: np.full(50_000, i), (4,), 3)
     for i, v in enumerate(out):
         np.testing.assert_array_equal(v, np.full(50_000, i))
     assert_no_child_process()
@@ -314,7 +301,7 @@ def fails_at(index, error):
 @pytest.mark.parametrize("index", [0, 1], ids=["caller", "child"])
 def test_map_raises_a_share_error_with_its_type(index):
     with pytest.raises(KeyError, match="injected") as raised:
-        simlab._map_ordered(fails_at(index, KeyError("injected")), (4,), 2)
+        _forkjoin._map_ordered(fails_at(index, KeyError("injected")), (4,), 2)
     if index:  # a child's traceback comes back as the error's cause
         assert "in simulation worker 1:" in str(raised.value.__cause__)
         assert "raise error" in str(raised.value.__cause__)
@@ -338,16 +325,16 @@ def exits_at_1(i):
                          ids=["os-exit", "unpicklable-error"])
 def test_map_names_a_child_that_sends_no_results(fn, status):
     with pytest.raises(RuntimeError, match=f"worker 1 ended with exit status {status} "):
-        simlab._map_ordered(fn, (4,), 2)
+        _forkjoin._map_ordered(fn, (4,), 2)
     assert_no_child_process()
 
 
 def test_default_worker_count_follows_the_usable_cpus(monkeypatch):
     monkeypatch.delenv("ADAHUBER_THREADS", raising=False)
-    monkeypatch.setattr(simlab.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert simlab.resolve_threads() == 1
+    monkeypatch.setattr(_forkjoin.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _forkjoin.resolve_threads() == 1
     monkeypatch.setenv("ADAHUBER_THREADS", "3")
-    assert simlab.resolve_threads() == 3
+    assert _forkjoin.resolve_threads() == 3
 
 
 # -------------------------------------------------------------- moment checks
