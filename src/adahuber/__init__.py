@@ -18,20 +18,15 @@ from .core import (
     RankDeficientError,
     SolverConfig,
     gradient,
-    huber_loss,
-    huber_score,
-    irls_weight,
     mae,
     objective,
     predict,
-    soft_threshold,
     truncate_matrix,
 )
 from .irls import fit_huber, fit_ols
-from .lamm import fit_l1_huber, kkt_satisfied, lamm_step, majorization_holds
+from .lamm import fit_l1_huber, kkt_satisfied
 from .truncated import default_truncation_params, fit_truncated, predict_truncated
 from .tuning import (
-    LepskiGrid,
     TuningGrid,
     TuningError,
     cross_validate,
@@ -63,7 +58,6 @@ __all__ = [
     "SolverConfig",
     "FitResult",
     "TuningGrid",
-    "LepskiGrid",
     "NoiseSpec",
     "ExperimentSpec",
     "ExperimentReport",
@@ -71,18 +65,12 @@ __all__ = [
     "DegenerateSampleError",
     "NumericalFailureError",
     "TuningError",
-    "huber_loss",
-    "huber_score",
-    "irls_weight",
     "objective",
     "gradient",
-    "soft_threshold",
     "truncate_matrix",
     "predict",
     "fit_ols",
     "fit_huber",
-    "lamm_step",
-    "majorization_holds",
     "kkt_satisfied",
     "fit_l1_huber",
     "fit_truncated",

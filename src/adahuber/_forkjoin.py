@@ -38,12 +38,12 @@ _FORK = hasattr(os, "fork")
 
 
 def _map_ordered(fn, shape: tuple, threads: int | None) -> list:
-    # every experiment maps its replications through here: fn(*index) for
-    # each index of the grid ``shape``, results in row-major order.  Worker w
-    # takes the strided share indices[w::workers], so each worker gets an
-    # equal part of every noise family or cell.  The caller runs share 0
-    # itself and forks workers - 1 children, each reaped before the call
-    # returns; without fork there is one worker, so the map is serial
+    # the lab's replications and a CSV body's shares map through here:
+    # fn(*index) for each index of the grid ``shape``, results in row-major
+    # order.  Worker w takes the strided share indices[w::workers], so each
+    # worker gets an equal part of every noise family or cell.  The caller
+    # runs share 0 itself and forks workers - 1 children, each reaped before
+    # the call returns; without fork there is one worker, so the map is serial
     if min(shape) < 1:
         raise ValueError("an experiment needs reps >= 1 and nonempty grids")
     indices = list(np.ndindex(*shape))
@@ -75,11 +75,11 @@ def _map_ordered(fn, shape: tuple, threads: int | None) -> list:
         try:
             ok, value = pickle.loads(payload)
         except Exception as exc:
-            raise RuntimeError(f"simulation worker {w} ended with exit status "
-                               f"{status} without sending its results") from exc
+            raise RuntimeError(f"worker {w} ended with exit status {status} "
+                               "without sending its results") from exc
         if not ok:
             exc, trace = value
-            raise exc from RuntimeError(f"in simulation worker {w}:\n{trace}")
+            raise exc from RuntimeError(f"in worker {w}:\n{trace}")
         shares.append(value)
     out = [None] * len(indices)
     for w, share in enumerate(shares):

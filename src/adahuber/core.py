@@ -1,10 +1,10 @@
 """Numerical kernel for adaptive Huber regression.
 
 The records every solver shares (``Dataset``, ``HuberParams``, ``SolverConfig``
-and ``FitResult``), Huber loss and its derivative, IRLS weights, the empirical
-objective and gradient, soft-thresholding, elementwise covariate clamping, and
-the mean absolute error of a prediction.  All functions are pure; scalar
-inputs give scalar outputs, arrays give arrays.
+and ``FitResult``), the Huber loss, score, IRLS-weight and soft-threshold
+kernels the solvers call, the empirical objective and gradient, elementwise
+covariate clamping, and the mean absolute error of a prediction.  All
+functions are pure.
 Non-finite inputs are rejected eagerly instead of being propagated.
 """
 
@@ -246,12 +246,6 @@ def _as_float_array(x, name):
     return a
 
 
-def _maybe_scalar(out, like):
-    if np.isscalar(like) or np.ndim(like) == 0:
-        return float(out)
-    return out
-
-
 # Unvalidated kernels behind every loss, score and shrinkage: the score is the
 # clamp of r to [-tau, tau], the loss psi * (r - psi/2) (finite if tau*|r| is).
 def _score(r, tau):
@@ -282,26 +276,6 @@ def _weight(r, tau):
     return tau / np.maximum(np.abs(r), tau)
 
 
-def huber_loss(x, tau):
-    """Huber loss: x^2/2 for |x| <= tau, tau*|x| - tau^2/2 beyond."""
-    tau = _check_tau(tau)
-    a = _as_float_array(x, "x")
-    return _maybe_scalar(_hloss_score(a, tau)[0], x)
-
-
-def huber_score(x, tau):
-    """Derivative of the Huber loss: sign(x) * min(|x|, tau)."""
-    tau = _check_tau(tau)
-    a = _as_float_array(x, "x")
-    return _maybe_scalar(_score(a, tau), x)
-
-
-def irls_weight(r, tau):
-    """Reweighting factor psi(r)/r: 1 on [-tau, tau] (and at 0), tau/|r| beyond."""
-    tau = _check_tau(tau)
-    return _maybe_scalar(_weight(_as_float_array(r, "r"), tau), r)
-
-
 def residuals(beta, data: Dataset) -> np.ndarray:
     beta = _as_float_array(beta, "beta").ravel()
     if beta.shape[0] != data.p:
@@ -330,14 +304,6 @@ def gradient(beta, data: Dataset, tau) -> np.ndarray:
     """Gradient of the empirical loss: -mean of psi_tau(residual) * x_i."""
     tau = _check_tau(tau)
     return -(data.design.T @ _score(residuals(beta, data), tau)) / data.n
-
-
-def soft_threshold(v, kappa):
-    """Elementwise shrink toward zero: sign(v) * max(|v| - kappa, 0)."""
-    kappa = float(kappa)
-    if not np.isfinite(kappa) or kappa < 0:
-        raise ValueError(f"kappa must be nonnegative, got {kappa!r}")
-    return _maybe_scalar(_soft_threshold(_as_float_array(v, "v"), kappa), v)
 
 
 def truncate_matrix(x, varpi):

@@ -55,7 +55,7 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
     c = 1{|r| <= tau} and H = X'diag(c)X/n: the exact minimizer once the
     clipped set stops changing.  The step is kept only if it strictly lowers
     the loss or returns the current coefficients; otherwise the sweep solves
-    the weighted normal equations with weights ``irls_weight(residual, tau)``,
+    the weighted normal equations with weights ``core._weight(residual, tau)``,
     which majorize the Huber objective.  So the recorded loss trajectory is
     nonincreasing, up to rounding in the loss itself.  A Newton step depends
     only on the clipped rows and their signs, so no step can recur along a

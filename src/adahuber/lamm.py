@@ -22,7 +22,6 @@ from .core import (
     _mean,
     _score,
     _soft_threshold,
-    empirical_loss,
     gradient,
 )
 
@@ -40,31 +39,6 @@ GAMMA_U = 2.0
 KKT_TOL = 1e-4
 
 
-def lamm_step(beta, data: Dataset, tau, lam, phi) -> np.ndarray:
-    """One proximal update at curvature phi * s_j on coordinate j: soft-threshold
-    beta_j - g_j/(phi s_j) at lam/(phi s_j); the intercept coordinate, when
-    present, has no penalty and so takes the plain scaled gradient step."""
-    if not phi > 0:
-        raise ValueError(f"phi must be positive, got {phi!r}")
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam!r}")
-    beta = np.asarray(beta, dtype=float).ravel()
-    return _step(beta, gradient(beta, data, tau), lam * data.penalty_mask,
-                 phi * _scale(data))
-
-
-def majorization_holds(beta_new, beta_old, data: Dataset, tau, phi) -> bool:
-    """Whether the quadratic surrogate at beta_old, of curvature phi * s_j on
-    coordinate j, sits above the empirical loss at beta_new (up to float
-    slack)."""
-    if not phi > 0:
-        raise ValueError(f"phi must be positive, got {phi!r}")
-    new = np.asarray(beta_new, dtype=float).ravel()
-    old = np.asarray(beta_old, dtype=float).ravel()
-    return _majorizes(empirical_loss(new, data, tau), empirical_loss(old, data, tau),
-                      gradient(old, data, tau), new - old, phi, _scale(data))
-
-
 def _scale(data: Dataset) -> np.ndarray:
     """Column curvatures s_j = ||x_j||^2 / n of the working design: exactly 1
     for the intercept, 1 for an all-zero column; raises if one overflows."""
@@ -76,9 +50,8 @@ def _scale(data: Dataset) -> np.ndarray:
     return np.where(scale > 0.0, scale, 1.0)
 
 
-# validation-free kernels shared by the public wrappers and the solver loop;
-# pen and phi in _step are one penalty (0 for the intercept) and one
-# curvature per coordinate
+# validation-free kernels of the solver loop; pen and phi in _step are one
+# penalty (0 for the intercept) and one curvature per coordinate
 def _step(beta, grad, pen, phi):
     v = beta - grad / phi
     return _soft_threshold(v, pen / phi)

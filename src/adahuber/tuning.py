@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -170,33 +170,6 @@ def cross_validate(
     return best[0], best[1] if high_dim else None, fit(data, rule(*best)), table
 
 
-@dataclass(frozen=True)
-class LepskiGrid:
-    """Geometric scale grid sigma_j = sigma_min * a**j, kept while
-    sigma_j < a * sigma_max."""
-
-    sigma_min: float
-    sigma_max: float
-    a: float = 1.5
-
-    def __post_init__(self):
-        if not 0 < self.sigma_min <= self.sigma_max:
-            raise ValueError("need 0 < sigma_min <= sigma_max")
-        if not self.a > 1:
-            raise ValueError("grid ratio a must exceed 1")
-
-    @cached_property
-    def grid(self) -> tuple:
-        out, j = [], 0
-        while True:
-            sigma = self.sigma_min * self.a**j
-            if sigma >= self.a * self.sigma_max:
-                break
-            out.append(sigma)
-            j += 1
-        return tuple(out)
-
-
 def choose_lepski_index(distances: np.ndarray, thresholds) -> tuple[int, bool]:
     """Selection rule on precomputed pairwise distances.
 
@@ -214,10 +187,12 @@ def choose_lepski_index(distances: np.ndarray, thresholds) -> tuple[int, bool]:
 def lepski_select(data: Dataset, K: float = 3.0, a: float = 1.5):
     """Adaptive choice of the robustification level over a geometric grid.
 
-    The grid is ``LepskiGrid(sigma / K, K * sigma, a)`` around the OLS
-    residual scale sigma.  Fits one unpenalized Huber regression per grid
-    point with tau_j = sigma_j * sqrt(n / t), t = log n, then selects the
-    smallest j whose rescaled distances to all later fits stay within
+    The grid is sigma_j = sigma_min * a**j, kept while sigma_j < a * sigma_max,
+    with sigma_min = sigma / K and sigma_max = K * sigma around the OLS
+    residual scale sigma; it needs 0 < sigma_min <= sigma_max and a > 1.
+    Fits one unpenalized Huber regression per grid point with
+    tau_j = sigma_j * sqrt(n / t), t = log n, then selects the smallest j
+    whose rescaled distances to all later fits stay within
     8 * L * sigma_j * sqrt(d) * sqrt(t / n), where L is the largest
     sup-norm of the whitened covariate rows.
 
@@ -239,7 +214,15 @@ def lepski_select(data: Dataset, K: float = 3.0, a: float = 1.5):
     rss = float(np.sum(resid ** 2))
     sigma_hat = math.sqrt(rss / (n - p))
 
-    sigmas = np.asarray(LepskiGrid(sigma_hat / K, K * sigma_hat, a).grid)
+    sigma_min, sigma_max = sigma_hat / K, K * sigma_hat
+    if not 0 < sigma_min <= sigma_max:
+        raise ValueError("need 0 < sigma_min <= sigma_max")
+    if not a > 1:
+        raise ValueError("grid ratio a must exceed 1")
+    sigmas = []
+    while (sigma := sigma_min * a**len(sigmas)) < a * sigma_max:
+        sigmas.append(sigma)
+    sigmas = np.asarray(sigmas)
     taus = sigmas * math.sqrt(n / t)
     fits = [fit_huber(data, tau) for tau in taus]
 

@@ -8,59 +8,67 @@ from adahuber.core import (
     HuberParams,
     empirical_loss,
     gradient,
-    huber_loss,
-    huber_score,
-    irls_weight,
     objective,
     predict,
-    soft_threshold,
     truncate_matrix,
+    _hloss_score,
     _norm,
+    _score,
+    _soft_threshold,
     _weight,
 )
+from adahuber.irls import fit_huber
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 small_tau = st.floats(min_value=1e-3, max_value=1e3)
 
 
-# ---------------------------------------------------------------- huber_loss
+def kernel_loss(x, tau):
+    return _hloss_score(x, tau)[0]
+
+
+# ---------------------------------------------------------------- huber loss
 
 def test_loss_zero_residual():
-    assert huber_loss(0.0, 1.0) == 0.0
+    assert kernel_loss(0.0, 1.0) == 0.0
 
 
 def test_loss_quadratic_branch():
-    assert huber_loss(0.5, 1.0) == pytest.approx(0.125, abs=1e-15)
+    assert kernel_loss(0.5, 1.0) == pytest.approx(0.125, abs=1e-15)
 
 
 def test_loss_linear_branch():
-    assert huber_loss(3.0, 1.0) == pytest.approx(2.5, abs=1e-15)
+    assert kernel_loss(3.0, 1.0) == pytest.approx(2.5, abs=1e-15)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_loss_rejects_nonfinite(bad):
+    data = Dataset(np.array([[1.0]]), np.array([1.0]))
     with pytest.raises(ValueError):
-        huber_loss(bad, 1.0)
+        empirical_loss(np.array([bad]), data, 1.0)
 
 
 @pytest.mark.parametrize("bad_tau", [0.0, -1.0, np.nan])
 def test_loss_rejects_bad_tau(bad_tau):
+    data = Dataset(np.array([[1.0], [2.0]]), np.array([1.0, 3.0]))
     with pytest.raises(ValueError):
-        huber_loss(1.0, bad_tau)
+        HuberParams(tau=bad_tau)
+    with pytest.raises(ValueError):
+        fit_huber(data, bad_tau)
 
 
 @pytest.mark.parametrize("tau", [0.1, 1.0, 10.0])
 def test_boundary_smoothness(tau):
     # 1e-12 absorbs one ulp of rounding when the bound is met with equality
     for x in (tau - 1e-9, tau + 1e-9):
-        assert abs(huber_loss(x, tau) - tau**2 / 2) <= 1e-8 + 1e-12
-        assert abs(huber_score(x, tau) - tau) <= 1e-8 + 1e-12
+        assert abs(kernel_loss(x, tau) - tau**2 / 2) <= 1e-8 + 1e-12
+        assert abs(_score(x, tau) - tau) <= 1e-8 + 1e-12
 
 
 def test_domination_by_half_square():
     xs = np.linspace(-30, 30, 2001)
     for tau in (0.3, 1.0, 5.0):
-        losses = huber_loss(xs, tau)
+        losses = kernel_loss(xs, tau)
         assert np.all(losses <= xs**2 / 2 + 1e-12)
         inside = np.abs(xs) <= tau
         assert np.allclose(losses[inside], xs[inside] ** 2 / 2)
@@ -70,52 +78,52 @@ def test_domination_by_half_square():
 
 @given(a=finite, b=finite, tau=small_tau)
 def test_midpoint_convexity(a, b, tau):
-    lhs = huber_loss((a + b) / 2, tau)
-    rhs = (huber_loss(a, tau) + huber_loss(b, tau)) / 2
+    lhs = kernel_loss((a + b) / 2, tau)
+    rhs = (kernel_loss(a, tau) + kernel_loss(b, tau)) / 2
     assert lhs <= rhs + 1e-9 * (1 + abs(rhs))
 
 
 @given(x=finite, tau=small_tau, c=st.floats(min_value=1e-3, max_value=1e3))
 def test_loss_scaling(x, tau, c):
-    assert huber_loss(c * x, c * tau) == pytest.approx(
-        c**2 * huber_loss(x, tau), rel=1e-12, abs=1e-300
+    assert kernel_loss(c * x, c * tau) == pytest.approx(
+        c**2 * kernel_loss(x, tau), rel=1e-12, abs=1e-300
     )
 
 
-# --------------------------------------------------------------- huber_score
+# --------------------------------------------------------------- huber score
 
 def test_score_clips_to_tau():
-    assert huber_score(-5.0, 2.0) == -2.0
-    assert huber_score(0.3, 1.0) == 0.3
+    assert _score(-5.0, 2.0) == -2.0
+    assert _score(0.3, 1.0) == 0.3
 
 
 def test_score_matches_finite_difference():
     h = 1e-5
-    fd = (huber_loss(0.7 + h, 1.0) - huber_loss(0.7 - h, 1.0)) / (2 * h)
-    assert huber_score(0.7, 1.0) == pytest.approx(fd, abs=1e-6)
+    fd = (kernel_loss(0.7 + h, 1.0) - kernel_loss(0.7 - h, 1.0)) / (2 * h)
+    assert _score(0.7, 1.0) == pytest.approx(fd, abs=1e-6)
 
 
 @given(x=finite, tau=small_tau)
 def test_score_odd_and_bounded(x, tau):
-    assert huber_score(-x, tau) == -huber_score(x, tau)
-    assert abs(huber_score(x, tau)) <= tau + 1e-15
+    assert _score(-x, tau) == -_score(x, tau)
+    assert abs(_score(x, tau)) <= tau + 1e-15
 
 
 def test_score_monotone_on_grid():
     xs = np.linspace(-20, 20, 1001)
     for tau in (0.5, 2.0):
-        vals = huber_score(xs, tau)
+        vals = _score(xs, tau)
         assert np.all(np.diff(vals) >= -1e-15)
 
 
-# --------------------------------------------------------------- irls_weight
+# --------------------------------------------------------------- irls weight
 
 def test_weight_conventions():
-    assert irls_weight(0.0, 1.0) == 1.0
-    assert irls_weight(0.5, 1.0) == 1.0
+    assert _weight(0.0, 1.0) == 1.0
+    assert _weight(0.5, 1.0) == 1.0
     # ratio tau/|r|, cross-checked against psi(r)/r
-    assert irls_weight(4.0, 2.0) == pytest.approx(huber_score(4.0, 2.0) / 4.0)
-    assert irls_weight(4.0, 2.0) == 0.5
+    assert _weight(4.0, 2.0) == pytest.approx(_score(4.0, 2.0) / 4.0)
+    assert _weight(4.0, 2.0) == 0.5
 
 
 def test_weight_kernel_equals_the_two_branch_form_bitwise():
@@ -127,12 +135,11 @@ def test_weight_kernel_equals_the_two_branch_form_bitwise():
         a = np.abs(r)
         branches = np.where(a <= tau, 1.0, tau / np.where(a > tau, a, 1.0))
         assert _weight(r, tau).tobytes() == branches.tobytes()
-        assert irls_weight(r, tau).tobytes() == branches.tobytes()
 
 
 @given(r=finite, tau=small_tau)
 def test_weight_in_unit_interval(r, tau):
-    w = irls_weight(r, tau)
+    w = _weight(r, tau)
     assert 0.0 < w <= 1.0
 
 
@@ -210,19 +217,14 @@ def test_gradient_matches_finite_differences(rng):
             assert grad[j] == pytest.approx(fd, abs=1e-5)
 
 
-# ------------------------------------------------------------ soft_threshold
+# ------------------------------------------------------------ soft threshold
 
 def test_soft_threshold_values():
-    assert np.allclose(soft_threshold(np.array([3.0]), 1.0), [2.0])
-    out = soft_threshold(np.array([-0.5, 0.0]), 1.0)
+    assert np.allclose(_soft_threshold(np.array([3.0]), 1.0), [2.0])
+    out = _soft_threshold(np.array([-0.5, 0.0]), 1.0)
     assert np.array_equal(out, [0.0, 0.0])
     v = np.array([2.0, -3.0, 0.1])
-    assert np.array_equal(soft_threshold(v, 0.0), v)
-
-
-def test_soft_threshold_rejects_negative_kappa():
-    with pytest.raises(ValueError):
-        soft_threshold(np.array([1.0]), -0.1)
+    assert np.array_equal(_soft_threshold(v, 0.0), v)
 
 
 @given(
@@ -233,7 +235,7 @@ def test_soft_threshold_rejects_negative_kappa():
 def test_soft_threshold_nonexpansive(u, v, kappa):
     m = min(len(u), len(v))
     a, b = np.asarray(u[:m]), np.asarray(v[:m])
-    lhs = np.linalg.norm(soft_threshold(a, kappa) - soft_threshold(b, kappa))
+    lhs = np.linalg.norm(_soft_threshold(a, kappa) - _soft_threshold(b, kappa))
     assert lhs <= np.linalg.norm(a - b) + 1e-9
 
 

@@ -133,3 +133,26 @@ def test_dataio_imports_neither_the_lab_nor_the_solvers():
     assert "_forkjoin" in modules
     assert not modules & {"simlab", "tuning", "irls", "lamm", "truncated"}, \
         sorted(modules)
+
+
+def test_every_public_function_has_a_user_in_the_library():
+    """No public helper sits beside the kernel the solvers use: every
+    non-class name in ``adahuber.__all__`` is referenced (called, or passed
+    on as a value) in some module other than ``__init__``, or is on the
+    short list of names kept only for users."""
+    import adahuber
+
+    for_users = {"kkt_satisfied", "check_truncated_moments"}
+    loaded = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    functions = {name for name in adahuber.__all__
+                 if not isinstance(getattr(adahuber, name), type)}
+    assert not functions - loaded - for_users, sorted(functions - loaded - for_users)
+    assert for_users <= functions and not for_users & loaded, sorted(for_users & loaded)

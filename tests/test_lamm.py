@@ -12,15 +12,15 @@ from adahuber.core import (
     empirical_loss,
     gradient,
     objective,
-    soft_threshold,
 )
 from adahuber.irls import SolverConfig, fit_huber
 from adahuber.lamm import (
     GAMMA_U,
+    _majorizes,
+    _scale,
+    _step,
     fit_l1_huber,
     kkt_satisfied,
-    lamm_step,
-    majorization_holds,
 )
 from adahuber.simlab import (
     ExperimentSpec,
@@ -47,12 +47,14 @@ def power_iteration_lmax(gram, iters=500):
 
 
 def prox_gradient_oracle(data, tau, lam, iters=100_000):
-    """Fixed-step proximal gradient run to (numerical) fixation."""
+    """Fixed-step proximal gradient run to (numerical) fixation, with its
+    own textbook shrink rather than the solver's kernel."""
     design, n = data.design, data.n
     step = 1.0 / power_iteration_lmax(design.T @ design / n)
     beta = np.zeros(design.shape[1])
     for _ in range(iters):
-        new = soft_threshold(beta - step * gradient(beta, data, tau), step * lam)
+        v = beta - step * gradient(beta, data, tau)
+        new = np.sign(v) * np.maximum(np.abs(v) - step * lam, 0.0)
         if np.linalg.norm(new - beta) < 1e-14:
             beta = new
             break
@@ -69,26 +71,38 @@ def random_instance(rng, n, d, s=3, noise="t"):
     return Dataset(x, x @ beta + eps), beta
 
 
-# ------------------------------------------------------------------ lamm_step
+def solver_step(beta, data, tau, lam, phi):
+    """The solver's proximal step from beta at curvature phi * s_j."""
+    return _step(beta, gradient(beta, data, tau), lam * data.penalty_mask,
+                 phi * _scale(data))
+
+
+def solver_majorizes(new, old, data, tau, phi):
+    """The solver's test that its surrogate at old sits above the loss at new."""
+    return _majorizes(empirical_loss(new, data, tau), empirical_loss(old, data, tau),
+                      gradient(old, data, tau), new - old, phi, _scale(data))
+
+
+# ---------------------------------------------------------------- LAMM step
 
 def test_step_fixed_point_at_stationarity(rng):
     data, beta = random_instance(rng, 40, 3)
     exact = fit_huber(data, 1.5, SolverConfig(tol=1e-12, max_iter=2000)).beta
-    stepped = lamm_step(exact, data, 1.5, lam=0.0, phi=2.0)
+    stepped = solver_step(exact, data, 1.5, lam=0.0, phi=2.0)
     assert np.allclose(stepped, exact, atol=1e-9)
 
 
 def test_step_is_gradient_descent_when_unpenalized(rng):
     data, _ = random_instance(rng, 30, 4)
     beta = rng.standard_normal(4)
-    got = lamm_step(beta, data, 1.0, lam=0.0, phi=1.0)
+    got = solver_step(beta, data, 1.0, lam=0.0, phi=1.0)
     scale = np.sum(data.design ** 2, axis=0) / data.n  # column curvatures
     assert np.allclose(got, beta - gradient(beta, data, 1.0) / scale)
 
 
 def test_step_hand_case():
     data = Dataset(np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]))
-    got = lamm_step(np.zeros(1), data, tau=2.0, lam=0.4, phi=1.0)
+    got = solver_step(np.zeros(1), data, tau=2.0, lam=0.4, phi=1.0)
     assert got == pytest.approx([0.6])
 
 
@@ -96,7 +110,7 @@ def test_step_leaves_intercept_unthresholded(rng):
     x = rng.standard_normal((20, 2))
     data = Dataset(x, rng.standard_normal(20) + 5.0, intercept=True)
     beta = np.zeros(3)
-    got = lamm_step(beta, data, 1.0, lam=100.0, phi=1.0)
+    got = solver_step(beta, data, 1.0, lam=100.0, phi=1.0)
     grad = gradient(beta, data, 1.0)
     assert got[0] == 0.0 and got[1] == 0.0  # huge penalty zeroes covariates
     assert got[2] == pytest.approx(-grad[2])  # intercept takes the raw step
@@ -107,7 +121,7 @@ def test_step_leaves_intercept_unthresholded(rng):
 def test_majorization_trivial_equality(rng):
     data, _ = random_instance(rng, 25, 3)
     beta = rng.standard_normal(3)
-    assert majorization_holds(beta, beta, data, 1.0, phi=1e-9)
+    assert solver_majorizes(beta, beta, data, 1.0, phi=1e-9)
 
 
 def test_majorization_with_gram_eigenvalue(rng):
@@ -116,15 +130,15 @@ def test_majorization_with_gram_eigenvalue(rng):
         lmax = power_iteration_lmax(data.design.T @ data.design / data.n)
         a = rng.standard_normal(4) * 2
         b = rng.standard_normal(4) * 2
-        assert majorization_holds(a, b, data, 1.0, phi=lmax)
-        assert majorization_holds(b, a, data, 1.0, phi=lmax * 1.001)
+        assert solver_majorizes(a, b, data, 1.0, phi=lmax)
+        assert solver_majorizes(b, a, data, 1.0, phi=lmax * 1.001)
 
 
 def test_majorization_fails_for_tiny_phi(rng):
     data, _ = random_instance(rng, 30, 4)
     beta = rng.standard_normal(4) * 3  # generic non-stationary point
-    cand = lamm_step(beta, data, 1.0, lam=0.0, phi=1e-12)
-    assert not majorization_holds(cand, beta, data, 1.0, phi=1e-12)
+    cand = solver_step(beta, data, 1.0, lam=0.0, phi=1e-12)
+    assert not solver_majorizes(cand, beta, data, 1.0, phi=1e-12)
 
 
 # ---------------------------------------------------------------- fit_l1_huber
@@ -301,11 +315,11 @@ def test_first_iteration_is_public_step(rng, intercept):
         data = Dataset(x, x[:, 0] * 2.0 + rng.standard_t(2.0, 40) + 3.0,
                        intercept)
         lam, zero, phi, trials = 0.05, np.zeros(data.p), 1.0, 1
-        while not majorization_holds(lamm_step(zero, data, tau, lam, phi), zero,
-                                     data, tau, phi):
+        while not solver_majorizes(solver_step(zero, data, tau, lam, phi), zero,
+                                   data, tau, phi):
             phi *= GAMMA_U
             trials += 1
-        expected = lamm_step(zero, data, tau, lam, phi)
+        expected = solver_step(zero, data, tau, lam, phi)
         fit = fit_l1_huber(data, HuberParams(tau=tau, lam=lam),
                            SolverConfig(max_iter=1))
         assert fit.beta.tobytes() == expected.tobytes()  # bit for bit

@@ -303,7 +303,7 @@ def test_map_raises_a_share_error_with_its_type(index):
     with pytest.raises(KeyError, match="injected") as raised:
         _forkjoin._map_ordered(fails_at(index, KeyError("injected")), (4,), 2)
     if index:  # a child's traceback comes back as the error's cause
-        assert "in simulation worker 1:" in str(raised.value.__cause__)
+        assert "in worker 1:" in str(raised.value.__cause__)
         assert "raise error" in str(raised.value.__cause__)
     assert_no_child_process()
 

@@ -22,7 +22,6 @@ from adahuber.simlab import (
 )
 from adahuber.core import HuberParams
 from adahuber.tuning import (
-    LepskiGrid,
     TuningError,
     TuningGrid,
     choose_lepski_index,
@@ -284,19 +283,36 @@ def test_tuning_grid_rejects_bad_constants(bad):
 
 # --------------------------------------------------------------------- lepski
 
-def test_lepski_grid_contents():
-    grid = LepskiGrid(1.0, 5.0, a=1.5)
-    sigmas = np.asarray(grid.grid)
-    assert sigmas[0] == 1.0
-    assert np.all(sigmas < 1.5 * 5.0)
+def test_lepski_grid_contents(rng):
+    x = rng.standard_normal((90, 2))
+    data = Dataset(x, x @ np.array([1.0, -1.0]) + rng.standard_normal(90))
+    resid = data.y - data.design @ data.ols_beta
+    sigma_hat = math.sqrt(float(resid @ resid) / (data.n - data.p))
+    K, a = math.sqrt(5.0), 1.5
+    sigmas = np.asarray(lepski_select(data, K=K, a=a)[2]["sigmas"])
+    assert sigmas[0] == pytest.approx(sigma_hat / K, rel=1e-12)
+    assert np.array_equal(sigmas, sigmas[0] * a ** np.arange(len(sigmas)))
+    assert sigmas[-1] < a * K * sigma_hat <= sigmas[-1] * a * (1 + 1e-12)
     assert len(sigmas) <= 1 + math.log(5.0, 1.5) + 1
 
 
-def test_lepski_grid_validation():
-    with pytest.raises(ValueError):
-        LepskiGrid(2.0, 1.0)
-    with pytest.raises(ValueError):
-        LepskiGrid(1.0, 2.0, a=1.0)
+def test_lepski_grid_validation(rng, monkeypatch):
+    """A bad grid is rejected after the scale estimate and before any fit,
+    also where an exact fit leaves a zero scale."""
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit before the grid was checked")
+
+    monkeypatch.setattr(tuning, "fit_huber", no_fit)
+    x = rng.standard_normal((60, 2))
+    data = Dataset(x, x @ np.array([1.0, -1.0]) + rng.standard_normal(60))
+    with pytest.raises(ValueError, match="sigma_min <= sigma_max"):
+        lepski_select(data, K=0.5)
+    with pytest.raises(ValueError, match="sigma_min <= sigma_max"):
+        lepski_select(data, K=float("inf"))
+    with pytest.raises(ValueError, match="must exceed 1"):
+        lepski_select(data, a=1.0)
+    with pytest.raises(ValueError, match="sigma_min <= sigma_max"):
+        lepski_select(Dataset(x, np.zeros(60)))
 
 
 def test_lepski_singleton_grid(rng):
@@ -352,6 +368,8 @@ def test_lepski_select_rejects_a_bad_grid(rng):
     data = Dataset(x, x @ np.array([1.0, -1.0]) + rng.standard_normal(60))
     with pytest.raises(ValueError):
         lepski_select(data, K=0.5)
+    with pytest.raises(ValueError):
+        lepski_select(data, K=float("inf"))
     with pytest.raises(ValueError):
         lepski_select(data, a=1.0)
 
