@@ -67,6 +67,14 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
     certifies is solved directly, and any other goes through solve_spd's
     exact rank check.  Neither is certified where OLS is rank-deficient.
 
+    A sweep makes no solve when its Newton system is one the current
+    coefficients already solve; it still appends its loss and counts as an
+    iteration, so ``iterations`` counts sweeps, not solves.  A system is
+    keyed by the sign of each clipped row's score (0 on the other rows).
+    The coefficients solve the key of the last kept Newton step, which a
+    re-solve would return bit for bit, and at the OLS start the key of no
+    clipped row.
+
     Warm-started at the cached OLS solution ``data.ols_beta`` (zero vector if
     OLS is rank-deficient).  Stops once the coefficient change drops below
     ``cfg.tol`` and the gradient is small.
@@ -74,9 +82,10 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
     tau = _check_tau(tau)
     cfg = cfg or IRLS_DEFAULTS
     try:
-        beta = data.ols_beta
+        # OLS solves the Newton system that clips no row, whose key is 0
+        beta, held = data.ols_beta.copy(), np.zeros(data.n, np.int8)
     except RankDeficientError:
-        beta = np.zeros(data.p)
+        beta, held = np.zeros(data.p), None
     design, y, n = data.design, data.y, data.n
     grad_tol = 1e-6 * (1.0 + _norm(y))
 
@@ -93,33 +102,43 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
     traj, stop_reason = [obj], "max_iter"
 
     for _ in range(cfg.max_iter):
-        clipped = np.abs(resid) > tau
-        w, point = 1.0 - clipped, None  # the Newton weights
-        if _certified(data, w):
-            beta_new = np.linalg.solve(weighted_gram(w),
-                                       design.T @ np.where(clipped, psi, y) / n)
-            point = evaluate(beta_new)
-            if not (point[2] < obj or np.array_equal(beta_new, beta)):
-                point = None
-        if point is None:
-            w = _weight(resid, tau)
-            gram = weighted_gram(w)
-            rhs = design.T @ (w * y) / n
+        # the sign of each clipped row's score: the key of the Newton system
+        key = (resid > tau).view(np.int8) - (resid < -tau).view(np.int8)
+        clipped = key != 0
+        if held is not None and np.array_equal(key, held):
+            # the Newton step would re-solve the system beta already solves
+            step = 0.0
+        else:
+            w, point, held = 1.0 - clipped, None, None  # the Newton weights
             if _certified(data, w):
-                beta_new = np.linalg.solve(gram, rhs)
-            else:
-                beta_new = solve_spd(gram, rhs)
-            point = evaluate(beta_new)
-        step = _norm(beta_new - beta)
-        beta = beta_new
-        resid, psi, obj = point
+                beta_new = np.linalg.solve(
+                    weighted_gram(w), design.T @ np.where(clipped, psi, y) / n)
+                point = evaluate(beta_new)
+                if point[2] < obj or np.array_equal(beta_new, beta):
+                    held = key
+                else:
+                    point = None
+            if point is None:
+                w = _weight(resid, tau)
+                gram = weighted_gram(w)
+                rhs = design.T @ (w * y) / n
+                if _certified(data, w):
+                    beta_new = np.linalg.solve(gram, rhs)
+                else:
+                    beta_new = solve_spd(gram, rhs)
+                point = evaluate(beta_new)
+            step = _norm(beta_new - beta)
+            beta = beta_new
+            resid, psi, obj = point
         traj.append(obj)
-        if step <= cfg.tol and _norm(design.T @ psi / n) <= grad_tol:
-            stop_reason = "converged"
-            break
-
-    # the gradient is -design.T @ psi / n; its sign does not change the norm
-    grad_norm = _norm(design.T @ psi / n)
+        if step <= cfg.tol:
+            # the gradient is -design.T @ psi / n; its sign does not change the norm
+            grad_norm = _norm(design.T @ psi / n)
+            if grad_norm <= grad_tol:
+                stop_reason = "converged"
+                break
+    else:
+        grad_norm = _norm(design.T @ psi / n)
     return FitResult(
         beta=beta,
         iterations=len(traj) - 1,

@@ -451,6 +451,89 @@ def test_rank_deficient_ols_skips_newton_and_raises(monkeypatch):
     assert solves == []
 
 
+def recorded_solves(monkeypatch):
+    """Patch np.linalg.solve to record, as bytes, each system it solves."""
+    real, systems = np.linalg.solve, []
+
+    def recorded(a, b):
+        systems.append(a.tobytes() + b.tobytes())
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    return systems
+
+
+def test_fit_without_clipped_rows_at_ols_makes_no_solve(monkeypatch):
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((40, 3))
+        y = x @ np.array([1.0, -0.2, 5.0]) + rng.standard_t(2.0, 40)
+        data = Dataset(x, y, intercept=seed % 2 == 1)
+        tau = 2.0 * np.abs(y - data.design @ data.ols_beta).max()
+        solves = recorded_solves(monkeypatch)
+        fit = fit_huber(data, tau)
+        monkeypatch.undo()
+        assert solves == []
+        assert fit.beta.tobytes() == data.ols_beta.tobytes()
+        assert fit.iterations == 1 and fit.converged
+        fit.beta[:] = 0.0  # a copy: the cached coefficients stay
+        assert np.any(data.ols_beta != 0.0)
+
+
+def test_newton_fit_solves_each_system_once(monkeypatch):
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((200, 3))
+    y = x @ np.array([1.0, -2.0, 0.5]) + rng.standard_t(2.0, 200)
+    data = Dataset(x, y, intercept=True)
+    data.ols_beta
+    solves = recorded_solves(monkeypatch)
+    fit = fit_huber(data, 3.0)
+    fit_solves = solves[:]
+    solves.clear()
+    beta, iterations, converged, *_ = exact_check_fit_huber(data, 3.0)
+    # the oracle re-solves every sweep's system, after its own OLS start
+    oracle_solves = solves[1:]
+    assert fit.beta.tobytes() == beta.tobytes()
+    assert (fit.iterations, fit.converged) == (iterations, converged) == (3, True)
+    assert len(oracle_solves) == 3
+    assert len(fit_solves) == len(set(fit_solves)) == 2
+    assert set(fit_solves) == set(oracle_solves)
+
+
+def test_large_fit_without_clipped_rows_stays_near_the_oracle():
+    rng = np.random.default_rng(5)
+    n = 3000
+    x = rng.standard_normal((n, 4))
+    y = x @ np.array([1.0, -0.2, 5.0, 0.5]) + rng.standard_t(2.0, n)
+    data = Dataset(x, y, intercept=True)
+    tau = 2.0 * np.abs(y - data.design @ data.ols_beta).max()
+    fit = fit_huber(data, tau)
+    # the oracle re-solves the OLS system through a weighted Gram, which
+    # may reach BLAS by another routine than the cached Gram: the last bits
+    # may differ, but not by more than rounding
+    beta, iterations, converged, *_ = exact_check_fit_huber(data, tau)
+    assert (fit.iterations, fit.converged) == (iterations, converged) == (1, True)
+    assert np.linalg.norm(fit.beta - beta) <= 1e-13 * np.linalg.norm(beta)
+
+
+def test_table1_solves_each_newton_system_once(monkeypatch):
+    real, solves = tuning.fit_huber, []
+    systems = recorded_solves(monkeypatch)
+
+    def counted(data, tau, cfg=None):
+        data.ols_beta  # the fold's OLS solve is not the fit's
+        start = len(systems)
+        fit = real(data, tau, cfg)
+        solves.append(len(systems) - start)
+        return fit
+
+    monkeypatch.setattr(tuning, "fit_huber", counted)
+    run_table1(reps=3, seed=0, threads=1)
+    assert len(solves) == 117
+    # 44 solves for the 161 sweeps of test_table1_sweep_count_stays_pinned
+    assert sum(solves) <= 50
+
+
 def test_table1_sweep_count_stays_pinned(monkeypatch):
     real, sweeps = tuning.fit_huber, []
 
