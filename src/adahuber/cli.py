@@ -279,7 +279,7 @@ def cmd_tune(args) -> int:
              "threshold": diag["thresholds"][j],
              "max_distance_to_later": (float(np.max(diag["distances"][j, j + 1:]))
                                        if j + 1 < m else 0.0),
-             "selected": j == j_hat, "fallback": diag["fallback"]}
+             "selected": j == j_hat}
             for j in range(m)
         ]
     out = args.out if args.out else sys.stdout

@@ -288,6 +288,17 @@ def _run_cells(cells, reps: int, seed: int, high_dim: bool, c_tau: float,
     return np.reshape(_map_ordered(one, shape, threads), shape)
 
 
+# c_tau of the phase study keeps the truncation level within a few robust
+# standard deviations of the heaviest benchmark noise across the n range,
+# which is where the error-decay rate is visible; larger constants push the
+# fit into its least-squares regime at small n and steepen the measured slope
+PHASE_C_TAU = 0.05
+PHASE_C_LAMBDA = 1.0
+NEFF_DF = 1.5
+NEFF_C_TAU = 0.5
+NEFF_C_LAMBDA = 0.25
+
+
 def run_phase_transition(
     df_grid=(1.5, 3.0),
     n: int = 500,
@@ -295,26 +306,20 @@ def run_phase_transition(
     reps: int = 200,
     high_dim: bool = False,
     seed: int = 0,
-    c_tau: float = 0.05,
-    c_lambda: float = 1.0,
     threads: int | None = None,
 ) -> list:
     """Error decay under Student-t noise of varying tail index.
 
     For each df the moment order is delta = df - 1 - 0.05; the
-    robustification level follows ``adaptive_tau`` on pilot residuals.  Rows
-    report the per-df mean of -log(l2 error), the mean error itself, and its
-    standard deviation.
-
-    The default c_tau keeps the truncation level within a few robust standard
-    deviations of the heaviest benchmark noise across the n range, which is
-    where the error-decay rate is visible; larger constants push the fit into
-    its least-squares regime at small n and steepen the measured slope.
+    robustification level follows ``adaptive_tau`` on pilot residuals at
+    ``PHASE_C_TAU``, and a high_dim fit's plug-in penalty uses
+    ``PHASE_C_LAMBDA``.  Rows report the per-df mean of -log(l2 error), the
+    mean error itself, and its standard deviation.
     """
     if any(df <= 1.05 for df in df_grid):
         raise ValueError("every df must exceed 1.05 so that delta > 0")
     errors = _run_cells([(n, d, df) for df in df_grid], reps, seed, high_dim,
-                        c_tau, c_lambda, threads)
+                        PHASE_C_TAU, PHASE_C_LAMBDA, threads)
     rows = []
     for df, errs in zip(df_grid, errors):
         ok = errs[np.isfinite(errs)]
@@ -333,20 +338,18 @@ def run_neff_experiment(
     n_grid=(200, 400, 800),
     reps: int = 100,
     seed: int = 0,
-    df: float = 1.5,
-    c_tau: float = 0.5,
-    c_lambda: float = 0.25,
     threads: int | None = None,
 ) -> list:
     """Error versus effective sample size n / log d for the l1 solver.
 
-    The high-dimensional phase-transition replication at one df over a grid
-    of (d, n) cells: the robustification level
+    The high-dimensional phase-transition replication at df = ``NEFF_DF``
+    over a grid of (d, n) cells: the robustification level
     c_tau * v_hat * (n / log d)^(1 / (1 + delta)) and the penalty from the
-    plug-in rule.  One row per (d, n) pair.
+    plug-in rule, at ``NEFF_C_TAU`` and ``NEFF_C_LAMBDA``.  One row per (d, n).
     """
-    cells = [(n, d, df) for d in d_grid for n in n_grid]
-    errors = _run_cells(cells, reps, seed, True, c_tau, c_lambda, threads)
+    cells = [(n, d, NEFF_DF) for d in d_grid for n in n_grid]
+    errors = _run_cells(cells, reps, seed, True, NEFF_C_TAU, NEFF_C_LAMBDA,
+                        threads)
     rows = []
     for (n, d, _), errs in zip(cells, errors):
         mean, std, failed = _summary(errs)
@@ -511,6 +514,6 @@ def run_lepski_study(n: int = 500, d: int = 5, reps: int = 50, seed: int = 0,
         best = min(float(np.linalg.norm(b - beta)) for b in diag["betas"])
         return {"noise": label, "replication": rep, "selected_index": j_hat,
                 "selected_error": float(np.linalg.norm(fit.beta - beta)),
-                "best_fixed_error": best, "fallback": diag["fallback"]}
+                "best_fixed_error": best}
 
     return _map_ordered(one, (len(LEPSKI_NOISES), reps), threads)

@@ -170,18 +170,15 @@ def cross_validate(
     return best[0], best[1] if high_dim else None, fit(data, rule(*best)), table
 
 
-def choose_lepski_index(distances: np.ndarray, thresholds) -> tuple[int, bool]:
+def choose_lepski_index(distances: np.ndarray, thresholds) -> int:
     """Selection rule on precomputed pairwise distances.
 
     Returns the smallest index j whose distance to every later grid point
-    stays below that j's threshold; falls back to the last index (with a
-    warning flag) when no index qualifies.
+    stays within that j's threshold.  One always exists: the last index has
+    no later point, so it qualifies vacuously.
     """
-    m = len(thresholds)
-    for j in range(m):
-        if all(distances[j, k] <= thresholds[j] for k in range(j + 1, m)):
-            return j, False
-    return m - 1, True
+    return next(j for j, row in enumerate(distances)
+                if np.all(row[j + 1:] <= thresholds[j]))
 
 
 def lepski_select(data: Dataset, K: float = 3.0, a: float = 1.5):
@@ -231,7 +228,7 @@ def lepski_select(data: Dataset, K: float = 3.0, a: float = 1.5):
     distances = np.linalg.norm(whitened[:, None] - whitened[None], axis=-1)
     thresholds = 8.0 * l_tilde * sigmas * math.sqrt(p) * math.sqrt(t / n)
 
-    j_hat, fallback = choose_lepski_index(distances, thresholds)
+    j_hat = choose_lepski_index(distances, thresholds)
     diagnostics = {
         "sigmas": tuple(float(s) for s in sigmas),
         "taus": tuple(float(v) for v in taus),
@@ -240,6 +237,5 @@ def lepski_select(data: Dataset, K: float = 3.0, a: float = 1.5):
         "betas": tuple(fit.beta for fit in fits),
         "l_tilde": l_tilde,
         "t": float(t),
-        "fallback": fallback,
     }
     return fits[j_hat], j_hat, diagnostics

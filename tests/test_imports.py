@@ -139,10 +139,13 @@ def test_every_public_function_has_a_user_in_the_library():
     """No public helper sits beside the kernel the solvers use: every
     non-class name in ``adahuber.__all__`` is referenced (called, or passed
     on as a value) in some module other than ``__init__``, or is on the
-    short list of names kept only for users."""
+    short list of names kept only for users.  An attribute counts only on a
+    module (``dataio.write_records``), not on a value that happens to share
+    the name (``fit.objective``)."""
     import adahuber
 
-    for_users = {"kkt_satisfied", "check_truncated_moments"}
+    for_users = {"kkt_satisfied", "check_truncated_moments", "objective"}
+    modules = {path.stem for path in SRC.glob("*.py")}
     loaded = set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
@@ -150,7 +153,8 @@ def test_every_public_function_has_a_user_in_the_library():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and isinstance(node.value, ast.Name) and node.value.id in modules):
                 loaded.add(node.attr)
     functions = {name for name in adahuber.__all__
                  if not isinstance(getattr(adahuber, name), type)}
