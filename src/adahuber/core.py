@@ -214,8 +214,8 @@ class FitResult:
     """Outcome of a regression fit.
 
     beta        fitted coefficients (working-design order; intercept last)
-    iterations  number of outer iterations performed (for LAMM, including
-                the coordinate sweeps that finish a fit at the float floor)
+    iterations  number of outer iterations performed (for LAMM, surrogate
+                steps, each with one or more majorization trials)
     objective   final (penalized, where applicable) objective value
     grad_norm   l2 norm of the smooth-loss gradient at ``beta``
     stop_reason "converged", "max_iter" or "no_descent" (LAMM at the float floor)

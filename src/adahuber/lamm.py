@@ -1,9 +1,9 @@
 """l1-regularized Huber regression via local adaptive majorize-minimization:
 a quadratic surrogate with curvature phi * s_j on coordinate j, where
 s_j = ||x_j||^2 / n, with phi starting at 1 and only ever inflated until it
-locally majorizes the loss; soft-threshold update; safeguarded, restarted
-FISTA momentum; and cyclic coordinate sweeps at curvature s_j for fits that
-stall at the float floor."""
+locally majorizes the loss; soft-threshold update; and safeguarded,
+restarted FISTA momentum, whose safeguard is dropped for fits that stall at
+the float floor short of stationarity."""
 
 from __future__ import annotations
 
@@ -20,14 +20,16 @@ from .core import (
     SolverConfig,
     _hloss_score,
     _mean,
-    _score,
     _soft_threshold,
     gradient,
 )
 
 LAMM_DEFAULTS = SolverConfig(tol=1e-4, max_iter=5000)
 
-# Absolute slack absorbing float noise in the surrogate-vs-loss comparison.
+# Slack absorbing float noise in the surrogate-vs-loss comparison: 1e-12,
+# or 1e-14 of the loss above a loss of 100.  A fixed 1e-12 lies below the
+# rounding of losses of 1e8 and more, which then failed every trial and
+# inflated phi until it overflowed.
 _MAJORIZE_SLACK = 1e-12
 _PHI_OVERFLOW = 1e300
 
@@ -60,7 +62,7 @@ def _step(beta, grad, pen, phi):
 def _majorizes(loss_new, loss_old, grad, diff, phi, scale) -> bool:
     surrogate = (loss_old + float(grad @ diff)
                  + 0.5 * phi * float(diff @ (scale * diff)))
-    return surrogate >= loss_new - _MAJORIZE_SLACK
+    return surrogate >= loss_new - max(_MAJORIZE_SLACK, 1e-14 * loss_old)
 
 
 def _kkt_ok(grad, beta, mask, lam, tol) -> bool:
@@ -99,10 +101,11 @@ def fit_l1_huber(
     passes at ``min(KKT_TOL, cfg.tol)``; stops with "no_descent" at the float
     floor, where a step without momentum no longer lowers the objective.  A
     fit that stalls there failing KKT at KKT_TOL (a steep column whose KKT
-    moves change the objective below float resolution) spends its later
-    iterations on cyclic coordinate sweeps at curvature s_j instead, until
-    KKT passes, a sweep changes nothing ("no_descent") or ``cfg.max_iter``
-    is reached.
+    moves change the objective below float resolution, so the safeguard can
+    no longer rank candidates) keeps the same steps and momentum but accepts
+    every candidate from then on, so its objective can rise by rounding,
+    until KKT passes, an accepted step moves nothing ("no_descent") or
+    ``cfg.max_iter`` is reached.
     """
     cfg = cfg or LAMM_DEFAULTS
     tau, lam, kkt_tol = params.tau, params.lam, min(KKT_TOL, cfg.tol)
@@ -122,79 +125,49 @@ def fit_l1_huber(
     beta, r_beta = np.zeros(data.p), y
     f_beta = _mean(_hloss_score(y, tau)[0])
     z, r_z, t, phi, grad = beta, y, 1.0, 1.0, None
-    traj, stop_reason, cols = [f_beta], "max_iter", None
+    traj, stop_reason, floor = [f_beta], "max_iter", False
     for _ in range(cfg.max_iter):
-        if cols is None:
-            loss_z, grad_z = loss_grad(r_z)
-            for inner in itertools.count(1):
-                u = _step(z, grad_z, pen, phi * scale)
-                r_u = y - design @ u
-                loss_u = _mean(_hloss_score(r_u, tau)[0])
-                if _majorizes(loss_u, loss_z, grad_z, u - z, phi, scale):
-                    break
-                phi *= GAMMA_U
-                if phi > _PHI_OVERFLOW:
-                    raise NumericalFailureError("quadratic parameter overflow")
-            trials.append(inner)
+        loss_z, grad_z = loss_grad(r_z)
+        for inner in itertools.count(1):
+            u = _step(z, grad_z, pen, phi * scale)
+            r_u = y - design @ u
+            loss_u = _mean(_hloss_score(r_u, tau)[0])
+            if _majorizes(loss_u, loss_z, grad_z, u - z, phi, scale):
+                break
+            phi *= GAMMA_U
+            if phi > _PHI_OVERFLOW:
+                raise NumericalFailureError("quadratic parameter overflow")
+        trials.append(inner)
 
-            f_u = loss_u + lam * float(np.abs(u[mask]).sum())
-            stalled = z is beta and not f_u < f_beta
-            if f_u > f_beta:  # safeguard: keep beta, restart the momentum there
-                z, r_z, t, step = beta, r_beta, 1.0, np.inf
-            else:
-                move = u - beta
-                step = math.sqrt(float(move @ move))
-                t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-                theta = (t - 1.0) / t_next
-                z, r_z = u, r_u
-                if theta:
-                    z, r_z = u + theta * move, r_u + theta * (r_u - r_beta)
-                beta, r_beta, f_beta, t, grad = u, r_u, f_u, t_next, None
-        else:  # r_beta may be y itself, so the sweep works on a copy
-            stalled = not _sweep(cols, beta, r_beta.copy(), scale, pen, tau)
-            r_beta = y - design @ beta  # fresh, so no drift carries over
-            loss, grad = loss_grad(r_beta)
-            f_beta = loss + lam * float(np.abs(beta[mask]).sum())
-            step = 0.0  # every sweep takes the KKT test
+        f_u = loss_u + lam * float(np.abs(u[mask]).sum())
+        stalled = z is beta and not f_u < f_beta
+        if f_u > f_beta and not floor:  # safeguard: keep beta, restart there
+            z, r_z, t, step = beta, r_beta, 1.0, np.inf
+        else:
+            move = u - beta
+            step = math.sqrt(float(move @ move))
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            theta = (t - 1.0) / t_next
+            z, r_z = u, r_u
+            if theta:
+                z, r_z = u + theta * move, r_u + theta * (r_u - r_beta)
+            beta, r_beta, f_beta, t, grad = u, r_u, f_u, t_next, None
         traj.append(f_beta)
+        if floor:  # in the float-floor phase a stall is a step that moves nothing
+            stalled = not step
         if step <= cfg.tol or stalled:
             grad = loss_grad(r_beta)[1] if grad is None else grad
             converged = _kkt_ok(grad, beta, mask, lam, kkt_tol)
-            if stalled and cols is None and not _kkt_ok(grad, beta, mask, lam, KKT_TOL):
-                cols = np.ascontiguousarray(design.T)  # sweep from here on
+            if stalled and not floor and not _kkt_ok(grad, beta, mask, lam, KKT_TOL):
+                floor = True  # accept every candidate from here on
             elif converged or stalled:
                 stop_reason = "converged" if converged else "no_descent"
                 break
 
     grad = loss_grad(r_beta)[1] if grad is None else grad
-    sweeps = len(traj) - 1 - len(trials)
     return FitResult(
         beta=beta, iterations=len(traj) - 1, objective=f_beta,
         grad_norm=float(np.linalg.norm(grad)), stop_reason=stop_reason,
         trajectory=tuple(traj), max_inner=max(trials),
-        # a sweep: its column passes (a product each way) and a fresh residual
-        matvecs=sum(trials) + grads + 3 * sweeps, inner_total=sum(trials),
+        matvecs=sum(trials) + grads, inner_total=sum(trials),
     )
-
-
-def _sweep(cols, beta, resid, scale, pen, tau) -> bool:
-    """One cyclic coordinate-descent pass, in place on ``beta`` and ``resid``;
-    returns whether it moved any coordinate.
-
-    Coordinate j takes the ``_step`` of its one-dimensional surrogate at
-    curvature s_j, which majorizes the loss along x_j exactly because
-    psi' <= 1, so in exact arithmetic no pass raises the objective; the
-    unpenalized intercept (pen 0) takes the plain step.  The pass
-    updates ``resid`` as it goes, while the objective the caller records is
-    recomputed from a fresh residual, so the recorded value can still rise
-    by float noise: +1.8e-15 on an objective of 10.7 has been seen, and the
-    tests allow a rise of 1e-10."""
-    n, moved = resid.shape[0], False
-    for j in range(beta.shape[0]):
-        grad = -(cols[j:j + 1] @ _score(resid, tau)) / n
-        new = _step(beta[j:j + 1], grad, pen[j:j + 1], scale[j:j + 1])[0]
-        if new != beta[j]:
-            resid -= (new - beta[j]) * cols[j]
-            beta[j] = new
-            moved = True
-    return moved

@@ -190,8 +190,9 @@ def lepski_select(data: Dataset, K: float = 3.0, a: float = 1.5):
     Fits one unpenalized Huber regression per grid point with
     tau_j = sigma_j * sqrt(n / t), t = log n, then selects the smallest j
     whose rescaled distances to all later fits stay within
-    8 * L * sigma_j * sqrt(d) * sqrt(t / n), where L is the largest
-    sup-norm of the whitened covariate rows.
+    8 * L * sigma_j * sqrt(p) * sqrt(t / n), where p is the number of
+    coefficients (d + 1 with an intercept) and L is the largest sup-norm of
+    the whitened covariate rows.
 
     Returns (selected FitResult, selected index, diagnostics dict); the
     diagnostics carry every grid point's coefficients under ``betas``.

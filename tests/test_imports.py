@@ -62,10 +62,11 @@ def test_simlab_has_one_failure_policy_and_one_index_map():
 
 
 def test_lamm_has_one_iteration_loop():
-    """Every LAMM iteration, surrogate step or coordinate sweep, ends in the
-    same trajectory entry and stop test: ``fit_l1_huber`` has one loop over
+    """Every LAMM iteration is one surrogate step and ends in the same
+    trajectory entry and stop test: ``fit_l1_huber`` has one loop over
     ``range(cfg.max_iter)``, no ``while``, and no other loop than the
-    backtracking ``itertools.count`` nested in it."""
+    backtracking ``itertools.count`` nested in it; it calls ``_step`` at one
+    site, and ``lamm`` defines no second solver such as a ``_sweep``."""
     tree = ast.parse((SRC / "lamm.py").read_text(encoding="utf-8"))
     fit = next(f for f in ast.walk(tree)
                if isinstance(f, ast.FunctionDef) and f.name == "fit_l1_huber")
@@ -75,6 +76,11 @@ def test_lamm_has_one_iteration_loop():
     assert all(it == "range(cfg.max_iter)" or it.startswith("itertools.count(")
                for it in iters), iters
     assert not [node for node in ast.walk(fit) if isinstance(node, ast.While)]
+    steps = [node for node in ast.walk(fit) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "_step"]
+    assert len(steps) == 1, len(steps)
+    defined = {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+    assert "_sweep" not in defined, sorted(defined)
 
 
 def test_the_rank_rule_lives_in_core():
