@@ -252,9 +252,13 @@ def _score(r, tau):
     return np.minimum(np.maximum(r, -tau), tau)
 
 
-def _hloss_score(r, tau):
+def _loss_score(r, tau):
+    """Mean Huber loss of the residuals r and their scores psi, the loss taken
+    as (psi'r - psi'psi/2) / n: four passes over r.  Since |psi| <= |r| with
+    the sign of r, psi'r >= psi'psi, so the difference keeps at least half of
+    psi'r and no cancellation occurs."""
     psi = _score(r, tau)
-    return psi * (r - 0.5 * psi), psi
+    return (float(psi @ r) - 0.5 * float(psi @ psi)) / r.shape[0], psi
 
 
 def _mean(v) -> float:
@@ -267,8 +271,10 @@ def _norm(v) -> float:
     return math.sqrt(float(v @ v))
 
 
-def _soft_threshold(v, kappa):
-    return v - _score(v, kappa)
+def _soft_threshold(v, lo, hi):
+    # v less its clamp to [lo, hi] = [-kappa, kappa]: both bounds are passed,
+    # so a caller that shrinks by the same thresholds often negates them once
+    return v - np.minimum(np.maximum(v, lo), hi)
 
 
 def _weight(r, tau):
@@ -288,7 +294,7 @@ def residuals(beta, data: Dataset) -> np.ndarray:
 def empirical_loss(beta, data: Dataset, tau) -> float:
     """Average Huber loss of the residuals (no penalty term)."""
     tau = _check_tau(tau)
-    return _mean(_hloss_score(residuals(beta, data), tau)[0])
+    return _loss_score(residuals(beta, data), tau)[0]
 
 
 def objective(beta, data: Dataset, params: HuberParams) -> float:

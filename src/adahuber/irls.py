@@ -14,7 +14,7 @@ from .core import (
     _certified,
     _check_rank,
     _check_tau,
-    _hloss_score,
+    _loss_score,
     _mean,
     _norm,
     _weight,
@@ -95,8 +95,8 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
     def evaluate(b):
         # the residuals give the recorded loss, the gradient and the weights
         r = y - design @ b
-        loss, psi = _hloss_score(r, tau)
-        return r, psi, _mean(loss)
+        loss, psi = _loss_score(r, tau)
+        return r, psi, loss
 
     resid, psi, obj = evaluate(beta)
     traj, stop_reason = [obj], "max_iter"

@@ -18,8 +18,8 @@ from .core import (
     HuberParams,
     NumericalFailureError,
     SolverConfig,
-    _hloss_score,
-    _mean,
+    _loss_score,
+    _score,
     _soft_threshold,
     gradient,
 )
@@ -27,8 +27,10 @@ from .core import (
 LAMM_DEFAULTS = SolverConfig(tol=1e-4, max_iter=5000)
 
 # Slack absorbing float noise in the surrogate-vs-loss comparison: 1e-12,
-# or 1e-14 of the loss above a loss of 100.  A fixed 1e-12 lies below the
-# rounding of losses of 1e8 and more, which then failed every trial and
+# or 1e-14 of the starting loss F(0) above an F(0) of 100.  A fixed 1e-12
+# lies below the rounding of losses of 1e8 and more, and 1e-14 of the
+# current loss below the rounding of its terms where the loss has fallen by
+# orders of magnitude from F(0) (d > n); either failed every trial and
 # inflated phi until it overflowed.
 _MAJORIZE_SLACK = 1e-12
 _PHI_OVERFLOW = 1e300
@@ -52,17 +54,25 @@ def _scale(data: Dataset) -> np.ndarray:
     return np.where(scale > 0.0, scale, 1.0)
 
 
-# validation-free kernels of the solver loop; pen and phi in _step are one
-# penalty (0 for the intercept) and one curvature per coordinate
-def _step(beta, grad, pen, phi):
-    v = beta - grad / phi
-    return _soft_threshold(v, pen / phi)
+# validation-free kernels of the solver loop.  A step works from the score
+# product h = X'psi at z (the gradient is -h/n) and the vectors that change
+# only with phi: the step factor 1/(n phi s_j) and the thresholds
+# -+pen_j/(phi s_j), with pen_j the penalty (0 for the intercept).
+def _step_vectors(phi, scale, pen, n):
+    curv = phi * scale
+    kappa = pen / curv
+    return 1.0 / (n * curv), -kappa, kappa
 
 
-def _majorizes(loss_new, loss_old, grad, diff, phi, scale) -> bool:
-    surrogate = (loss_old + float(grad @ diff)
-                 + 0.5 * phi * float(diff @ (scale * diff)))
-    return surrogate >= loss_new - max(_MAJORIZE_SLACK, 1e-14 * loss_old)
+def _step(z, h, factor, lo, hi):
+    return _soft_threshold(z + factor * h, lo, hi)
+
+
+def _majorizes(loss_new, loss_old, h, diff, phi, root, n, slack) -> bool:
+    # root = sqrt(s_j), so the curvature term phi * diff'(s * diff) is one dot
+    w = root * diff
+    surrogate = loss_old - float(h @ diff) / n + 0.5 * phi * float(w @ w)
+    return surrogate >= loss_new - slack
 
 
 def _kkt_ok(grad, beta, mask, lam, tol) -> bool:
@@ -106,40 +116,47 @@ def fit_l1_huber(
     every candidate from then on, so its objective can rise by rounding,
     until KKT passes, an accepted step moves nothing ("no_descent") or
     ``cfg.max_iter`` is reached.
+    The step factor and thresholds (``_step_vectors``) are recomputed only
+    when phi changes, and the surrogate may undershoot the loss by
+    max(1e-12, 1e-14 F(0)), F(0) being the loss at zero.
     """
     cfg = cfg or LAMM_DEFAULTS
     tau, lam, kkt_tol = params.tau, params.lam, min(KKT_TOL, cfg.tol)
-    design, y, n, mask = data.design, data.y, data.n, data.penalty_mask
-    pen = lam * mask
-    scale = _scale(data)
+    design, y, n, d = data.design, data.y, data.n, data.d
+    mask, pen, scale = data.penalty_mask, lam * data.penalty_mask, _scale(data)
+    root = np.sqrt(scale)
     trials, grads = [], 0
 
-    def loss_grad(resid):  # at the point with these residuals: one product
+    def stop_gradient(resid):  # as kkt_satisfied computes it: one product
         nonlocal grads
         grads += 1
-        vals, psi = _hloss_score(resid, tau)
-        return _mean(vals), -(design.T @ psi) / n
+        return -(design.T @ _score(resid, tau)) / n
 
     # residuals stand in for X beta (always a fresh product) and X z (one
     # combination of fresh ones, so no drift builds up)
     beta, r_beta = np.zeros(data.p), y
-    f_beta = _mean(_hloss_score(y, tau)[0])
+    f_beta = _loss_score(y, tau)[0]
+    slack = max(_MAJORIZE_SLACK, 1e-14 * f_beta)
     z, r_z, t, phi, grad = beta, y, 1.0, 1.0, None
+    factor, lo, hi = _step_vectors(phi, scale, pen, n)
     traj, stop_reason, floor = [f_beta], "max_iter", False
     for _ in range(cfg.max_iter):
-        loss_z, grad_z = loss_grad(r_z)
+        loss_z, psi = _loss_score(r_z, tau)
+        h = design.T @ psi
+        grads += 1
         for inner in itertools.count(1):
-            u = _step(z, grad_z, pen, phi * scale)
+            u = _step(z, h, factor, lo, hi)
             r_u = y - design @ u
-            loss_u = _mean(_hloss_score(r_u, tau)[0])
-            if _majorizes(loss_u, loss_z, grad_z, u - z, phi, scale):
+            loss_u = _loss_score(r_u, tau)[0]
+            if _majorizes(loss_u, loss_z, h, u - z, phi, root, n, slack):
                 break
             phi *= GAMMA_U
             if phi > _PHI_OVERFLOW:
                 raise NumericalFailureError("quadratic parameter overflow")
+            factor, lo, hi = _step_vectors(phi, scale, pen, n)
         trials.append(inner)
 
-        f_u = loss_u + lam * float(np.abs(u[mask]).sum())
+        f_u = loss_u + lam * float(np.abs(u[:d]).sum())  # intercept last
         stalled = z is beta and not f_u < f_beta
         if f_u > f_beta and not floor:  # safeguard: keep beta, restart there
             z, r_z, t, step = beta, r_beta, 1.0, np.inf
@@ -156,7 +173,7 @@ def fit_l1_huber(
         if floor:  # in the float-floor phase a stall is a step that moves nothing
             stalled = not step
         if step <= cfg.tol or stalled:
-            grad = loss_grad(r_beta)[1] if grad is None else grad
+            grad = stop_gradient(r_beta) if grad is None else grad
             converged = _kkt_ok(grad, beta, mask, lam, kkt_tol)
             if stalled and not floor and not _kkt_ok(grad, beta, mask, lam, KKT_TOL):
                 floor = True  # accept every candidate from here on
@@ -164,7 +181,7 @@ def fit_l1_huber(
                 stop_reason = "converged" if converged else "no_descent"
                 break
 
-    grad = loss_grad(r_beta)[1] if grad is None else grad
+    grad = stop_gradient(r_beta) if grad is None else grad
     return FitResult(
         beta=beta, iterations=len(traj) - 1, objective=f_beta,
         grad_norm=float(np.linalg.norm(grad)), stop_reason=stop_reason,

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adahuber.core import (
@@ -11,7 +13,7 @@ from adahuber.core import (
     objective,
     predict,
     truncate_matrix,
-    _hloss_score,
+    _loss_score,
     _norm,
     _score,
     _soft_threshold,
@@ -24,7 +26,11 @@ small_tau = st.floats(min_value=1e-3, max_value=1e3)
 
 
 def kernel_loss(x, tau):
-    return _hloss_score(x, tau)[0]
+    """Huber loss of each residual in x through the shared kernel, as the
+    mean loss of a one-row sample; a float for a scalar x."""
+    rows = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.array([_loss_score(rows[i:i + 1], tau)[0] for i in range(rows.size)])
+    return out if np.ndim(x) else float(out[0])
 
 
 # ---------------------------------------------------------------- huber loss
@@ -88,6 +94,39 @@ def test_loss_scaling(x, tau, c):
     assert kernel_loss(c * x, c * tau) == pytest.approx(
         c**2 * kernel_loss(x, tau), rel=1e-12, abs=1e-300
     )
+
+
+# The kernel's loss is two dot products, each within n * eps of its exact
+# value relative to its sum of nonnegative terms, and psi'r >= psi'psi keeps
+# at least half of psi'r in the difference; the fsum reference of the
+# per-row losses is itself within 2 eps.  So 4 (n + 2) eps bounds the gap.
+def loss_kernel_bound(n):
+    return 4 * (n + 2) * np.finfo(float).eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+       log_tau=st.floats(-8, 8),
+       regime=st.sampled_from(["none", "all", "boundary", "mixed"]))
+def test_loss_kernel_matches_an_exact_sum(seed, n, log_tau, regime):
+    # no row clipped, every row clipped, every |r| = tau exactly, or a mix of
+    # all three, at tau (so at residual scales) from 1e-8 to 1e8
+    rng = np.random.default_rng(seed)
+    tau = 10.0 ** log_tau
+    signs = rng.choice([-1.0, 1.0], n)
+    r = {"none": tau * rng.uniform(-1.0, 1.0, n),
+         "all": signs * tau * (1.0 + rng.exponential(3.0, n) + 1e-9),
+         "boundary": signs * tau,
+         "mixed": tau * rng.standard_t(1.5, n)}[regime]
+    if regime == "mixed":
+        r[: n // 4] = signs[: n // 4] * tau
+    loss, psi = _loss_score(r, tau)
+    assert psi.tobytes() == _score(r, tau).tobytes()
+    clipped = np.abs(r) > tau
+    assert {"none": not clipped.any(), "all": clipped.all(),
+            "boundary": not clipped.any(), "mixed": True}[regime]
+    exact = math.fsum(float(p * (x - p / 2)) for p, x in zip(psi, r)) / n
+    assert abs(loss - exact) <= loss_kernel_bound(n) * exact
 
 
 # --------------------------------------------------------------- huber score
@@ -220,11 +259,14 @@ def test_gradient_matches_finite_differences(rng):
 # ------------------------------------------------------------ soft threshold
 
 def test_soft_threshold_values():
-    assert np.allclose(_soft_threshold(np.array([3.0]), 1.0), [2.0])
-    out = _soft_threshold(np.array([-0.5, 0.0]), 1.0)
+    assert np.allclose(_soft_threshold(np.array([3.0]), -1.0, 1.0), [2.0])
+    out = _soft_threshold(np.array([-0.5, 0.0]), -1.0, 1.0)
     assert np.array_equal(out, [0.0, 0.0])
     v = np.array([2.0, -3.0, 0.1])
-    assert np.array_equal(_soft_threshold(v, 0.0), v)
+    assert np.array_equal(_soft_threshold(v, -0.0, 0.0), v)
+    # per-coordinate thresholds: 0 leaves a coordinate (the intercept) as is
+    kappa = np.array([1.0, 0.0, 0.5])
+    assert np.array_equal(_soft_threshold(v, -kappa, kappa), [1.0, -3.0, 0.0])
 
 
 @given(
@@ -235,7 +277,8 @@ def test_soft_threshold_values():
 def test_soft_threshold_nonexpansive(u, v, kappa):
     m = min(len(u), len(v))
     a, b = np.asarray(u[:m]), np.asarray(v[:m])
-    lhs = np.linalg.norm(_soft_threshold(a, kappa) - _soft_threshold(b, kappa))
+    lhs = np.linalg.norm(_soft_threshold(a, -kappa, kappa)
+                         - _soft_threshold(b, -kappa, kappa))
     assert lhs <= np.linalg.norm(a - b) + 1e-9
 
 

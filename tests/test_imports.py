@@ -105,6 +105,39 @@ def test_the_rank_rule_lives_in_core():
     assert not names(SRC / "irls.py") & {"gram_evals", "row_norms_sq"}
 
 
+def test_the_huber_loss_lives_in_core():
+    """One loss kernel: ``irls`` and ``lamm`` import ``core._loss_score`` and
+    compute no loss of their own.  The nearest arithmetic above every use of
+    a score there (a name starting with ``psi``) is a product
+    ``design.T @ ...`` (a gradient or a right-hand side), so no
+    ``psi * (r - 0.5 * psi)`` and no ``psi @ r``; and neither module
+    defines a loss function."""
+    arithmetic = (ast.BinOp, ast.UnaryOp, ast.AugAssign, ast.Compare)
+    for name in ("irls.py", "lamm.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "core"
+                    for alias in node.names}
+        assert "_loss_score" in imported, (name, sorted(imported))
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        outside = []
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Name) and node.id.startswith("psi")
+                    and isinstance(node.ctx, ast.Load)):
+                continue
+            above = parents[node]
+            while not isinstance(above, (*arithmetic, ast.stmt)):
+                above = parents[above]
+            if isinstance(above, arithmetic) and not (
+                    isinstance(above, ast.BinOp) and isinstance(above.op, ast.MatMult)
+                    and ast.unparse(above.left) == "design.T"):
+                outside.append(ast.unparse(above))
+        assert not outside, (name, outside)
+        defined = {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+        assert not {f for f in defined if "loss" in f}, (name, sorted(defined))
+
+
 def test_the_fit_record_lives_in_core():
     """``FitResult`` and ``SolverConfig`` live in ``core``: ``lamm`` and
     ``truncated`` import nothing from ``irls``, and a fit's stop is stored

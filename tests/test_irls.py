@@ -11,8 +11,7 @@ from adahuber.core import (
     RankDeficientError,
     _certified,
     _check_rank,
-    _hloss_score,
-    _mean,
+    _loss_score,
     _weight,
 )
 from adahuber.irls import IRLS_DEFAULTS, SolverConfig, fit_huber, fit_ols, solve_spd
@@ -228,8 +227,8 @@ def exact_check_fit_huber(data, tau, cfg=IRLS_DEFAULTS, newton=True):
     row_sq = (design**2).sum(axis=1)
     grad_tol = 1e-6 * (1.0 + float(np.linalg.norm(y)))
     resid = y - design @ beta
-    loss, psi = _hloss_score(resid, tau)
-    traj = [_mean(loss)]
+    loss, psi = _loss_score(resid, tau)
+    traj = [loss]
     converged = False
     iterations = 0
     for _ in range(cfg.max_iter):
@@ -239,7 +238,7 @@ def exact_check_fit_huber(data, tau, cfg=IRLS_DEFAULTS, newton=True):
             c = 1.0 - clipped
             trial = solve_spd((design * c[:, None]).T @ design / n,
                               design.T @ np.where(clipped, psi, y) / n)
-            trial_loss = _mean(_hloss_score(y - design @ trial, tau)[0])
+            trial_loss = _loss_score(y - design @ trial, tau)[0]
             if trial_loss < traj[-1] or np.array_equal(trial, beta):
                 beta_new = trial
         if beta_new is None:
@@ -250,8 +249,8 @@ def exact_check_fit_huber(data, tau, cfg=IRLS_DEFAULTS, newton=True):
         beta = beta_new
         iterations += 1
         resid = y - design @ beta
-        loss, psi = _hloss_score(resid, tau)
-        traj.append(_mean(loss))
+        loss, psi = _loss_score(resid, tau)
+        traj.append(loss)
         if step <= cfg.tol and np.linalg.norm(design.T @ psi / n) <= grad_tol:
             converged = True
             break

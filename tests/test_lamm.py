@@ -9,6 +9,7 @@ from adahuber.core import (
     Dataset,
     HuberParams,
     NumericalFailureError,
+    _loss_score,
     empirical_loss,
     gradient,
     objective,
@@ -16,9 +17,11 @@ from adahuber.core import (
 from adahuber.irls import SolverConfig, fit_huber
 from adahuber.lamm import (
     GAMMA_U,
+    _MAJORIZE_SLACK,
     _majorizes,
     _scale,
     _step,
+    _step_vectors,
     fit_l1_huber,
     kkt_satisfied,
 )
@@ -71,16 +74,28 @@ def random_instance(rng, n, d, s=3, noise="t"):
     return Dataset(x, x @ beta + eps), beta
 
 
+def score_product(beta, data, tau):
+    """h = X'psi(r) at beta, from a fresh residual r: the solver's gradient
+    is -h/n."""
+    return data.design.T @ _loss_score(data.y - data.design @ beta, tau)[1]
+
+
 def solver_step(beta, data, tau, lam, phi):
-    """The solver's proximal step from beta at curvature phi * s_j."""
-    return _step(beta, gradient(beta, data, tau), lam * data.penalty_mask,
-                 phi * _scale(data))
+    """The solver's proximal step from beta at curvature phi * s_j, from the
+    step factor and thresholds it caches for phi."""
+    factor, lo, hi = _step_vectors(phi, _scale(data), lam * data.penalty_mask,
+                                   data.n)
+    return _step(beta, score_product(beta, data, tau), factor, lo, hi)
 
 
 def solver_majorizes(new, old, data, tau, phi):
-    """The solver's test that its surrogate at old sits above the loss at new."""
+    """The solver's test that its surrogate at old sits above the loss at new,
+    with the slack it takes from the loss F(0) at zero."""
+    slack = max(_MAJORIZE_SLACK,
+                1e-14 * empirical_loss(np.zeros(data.p), data, tau))
     return _majorizes(empirical_loss(new, data, tau), empirical_loss(old, data, tau),
-                      gradient(old, data, tau), new - old, phi, _scale(data))
+                      score_product(old, data, tau), new - old, phi,
+                      np.sqrt(_scale(data)), data.n, slack)
 
 
 # ---------------------------------------------------------------- LAMM step
@@ -277,6 +292,29 @@ def test_large_response_scale_converges(seed, k):
     assert np.all(np.diff(fit.trajectory) <= 1e-12 * abs(fit.objective))
 
 
+def test_loss_far_below_its_start_keeps_phi_finite():
+    # d > n with y and tau near 1e6 (one instance of a seeded random battery):
+    # the loss falls far below its start F(0), where a slack of 1e-14 of the
+    # current loss lies below the rounding of the surrogate's F(0)-sized
+    # terms, so every trial failed and phi overflowed; a slack of
+    # max(1e-12, 1e-14 F(0)) keeps phi finite
+    rng = np.random.default_rng([4242, 864])
+    n, d = int(rng.integers(20, 121)), int(rng.integers(1, 61))
+    c = 10 ** rng.uniform(-4, 8)
+    assert (n, d) == (27, 32) and 1e6 < c < 1.2e6
+    x = rng.standard_normal((n, d))
+    beta = np.zeros(d)
+    beta[:3] = [3.0, -2.0, 1.5]
+    data = Dataset(x, c * (x @ beta + rng.standard_t(2.0, n)))
+    tau = c * 10 ** rng.uniform(-1, 1)
+    lam_max = float(np.max(np.abs(gradient(np.zeros(d), data, tau))))
+    lam = lam_max * 10 ** -rng.uniform(0.3, 3)
+    fit = fit_l1_huber(data, HuberParams(tau=tau, lam=lam))
+    assert fit.converged
+    assert kkt_satisfied(fit.beta, data, tau, lam, tol=1e-4)
+    assert np.all(np.diff(fit.trajectory) <= 0)
+
+
 def test_intercept_excluded_from_penalty(rng):
     x = rng.standard_normal((60, 3))
     y = x @ np.array([2.0, 0.0, -1.0]) + 7.0 + rng.standard_normal(60)
@@ -420,10 +458,11 @@ def test_steep_column_converges(rep):
 
 @pytest.mark.parametrize("cap", [29, 30])
 def test_cap_reached_at_the_float_floor(cap):
-    # rep 0 stalls at the float floor on iteration 29, short of KKT at 1e-4,
+    # rep 1 stalls at the float floor on iteration 29, short of KKT at 1e-4,
     # and converges on iteration 31 once the safeguard stops rejecting: cap 29
-    # ends on the stall itself, cap 30 inside the float-floor phase
-    data, params = contaminated_instance(0)
+    # ends on the stall itself, cap 30 inside the float-floor phase.  Rep 0
+    # would not do: it converges on iteration 29 without reaching the floor.
+    data, params = contaminated_instance(1)
     assert fit_l1_huber(data, params).iterations == 31
     fit = fit_l1_huber(data, params, SolverConfig(max_iter=cap))
     assert fit.stop_reason == "max_iter" and not fit.converged
