@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import sys
 
@@ -79,7 +80,10 @@ _TUNE_METHODS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing fills a new
+    namespace and keeps no state in the parser."""
     parser = _Parser(prog="adahuber",
                      description="Adaptive Huber regression toolkit")
     parser.add_argument("--version", action="version", version=__version__)
@@ -349,8 +353,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (*LIBRARY_ERRORS, OSError) as exc:

@@ -85,9 +85,10 @@ class Dataset:
     design; the corresponding coefficient is never penalized and never
     truncated.  ``column_names`` optionally names the d covariates.
 
-    ``design``, ``gram``, ``gram_evals``, ``ols_beta`` and ``row_norms_sq``
-    are computed once and cached, so treat ``x`` and ``y`` as read-only
-    after construction.
+    ``design``, ``gram``, ``gram_evals``, ``ols_beta``, ``row_norms_sq``,
+    the read-only OLS residual, its largest magnitude, and the Huber loss and
+    gradient norm at OLS for a tau that clips no row are computed once and
+    cached, so treat ``x`` and ``y`` as read-only after construction.
     """
 
     x: np.ndarray
@@ -152,6 +153,26 @@ class Dataset:
         beta = np.linalg.solve(self.gram, self.design.T @ self.y / self.n)
         beta.flags.writeable = False
         return beta
+
+    @cached_property
+    def _ols_resid(self) -> np.ndarray:
+        """Read-only OLS residual ``y - design @ ols_beta``; RankDeficientError
+        if gram is singular."""
+        resid = self.y - self.design @ self.ols_beta
+        resid.flags.writeable = False
+        return resid
+
+    @cached_property
+    def _ols_resid_max(self) -> float:
+        """Largest |r| of the OLS residual: a tau at or above it clips no row."""
+        return float(np.max(np.abs(self._ols_resid)))
+
+    @cached_property
+    def _ols_no_clip(self) -> tuple:
+        """Mean Huber loss at OLS and the norm of its gradient design'r/n, the
+        same at every tau that clips no OLS residual (the score is r there)."""
+        loss, psi = _loss_score(self._ols_resid, self._ols_resid_max)
+        return loss, _norm(self.design.T @ psi / self.n)
 
     @cached_property
     def row_norms_sq(self) -> np.ndarray:
@@ -277,6 +298,18 @@ def _soft_threshold(v, lo, hi):
     return v - np.minimum(np.maximum(v, lo), hi)
 
 
+def _predict(beta, x, intercept):
+    # x @ beta, with the intercept (beta's last entry) added after the product
+    out = x @ beta[:x.shape[1]]
+    if intercept:
+        out = out + beta[-1]
+    return out
+
+
+def _mae(a, b):
+    return _mean(np.abs(a - b))
+
+
 def _weight(r, tau):
     # psi(r)/r: exactly 1 wherever |r| <= tau, so also at 0 and -0.0
     return tau / np.maximum(np.abs(r), tau)
@@ -331,10 +364,7 @@ def predict(beta, x, intercept: bool = False) -> np.ndarray:
         raise ValueError(
             f"beta has length {beta.shape[0]}, expected {d + int(intercept)}"
         )
-    out = x @ beta[:d]
-    if intercept:
-        out = out + beta[-1]
-    return out
+    return _predict(beta, x, intercept)
 
 
 def mae(y_true, y_pred) -> float:
@@ -343,4 +373,4 @@ def mae(y_true, y_pred) -> float:
     b = np.asarray(y_pred, dtype=float).ravel()
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return _mean(np.abs(a - b))
+    return _mae(a, b)

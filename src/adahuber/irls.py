@@ -33,10 +33,8 @@ def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def fit_ols(data: Dataset) -> FitResult:
     """Ordinary least squares via the normal equations (``data.ols_beta``)."""
-    design, y, n = data.design, data.y, data.n
-    beta = data.ols_beta.copy()
-    resid = y - design @ beta
-    grad = -(design.T @ resid) / n
+    beta, resid = data.ols_beta.copy(), data._ols_resid
+    grad = -(data.design.T @ resid) / data.n
     return FitResult(
         beta=beta,
         iterations=1,
@@ -75,19 +73,33 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
     re-solve would return bit for bit, and at the OLS start the key of no
     clipped row.
 
-    Warm-started at the cached OLS solution ``data.ols_beta`` (zero vector if
-    OLS is rank-deficient).  Stops once the coefficient change drops below
-    ``cfg.tol`` and the gradient is small.
+    Warm-started at the cached OLS solution ``data.ols_beta`` and its cached
+    residual (zero vector if OLS is rank-deficient).  Stops once the
+    coefficient change drops below ``cfg.tol`` and the gradient is small.
+    A tau that clips no OLS residual (tau >= its largest |r|) keys the first
+    sweep to the system OLS solves, so that sweep keeps OLS with a zero step.
+    Where the gradient test passes there, the fit returns that answer from
+    the dataset's cache, without running the loop: a copy of ``ols_beta``,
+    one iteration, and the no-clip loss twice in the trajectory.
     """
     tau = _check_tau(tau)
     cfg = cfg or IRLS_DEFAULTS
-    try:
-        # OLS solves the Newton system that clips no row, whose key is 0
-        beta, held = data.ols_beta.copy(), np.zeros(data.n, np.int8)
-    except RankDeficientError:
-        beta, held = np.zeros(data.p), None
     design, y, n = data.design, data.y, data.n
     grad_tol = 1e-6 * (1.0 + _norm(y))
+    try:
+        # OLS solves the Newton system that clips no row, whose key is 0
+        beta, resid = data.ols_beta.copy(), data._ols_resid
+        held = np.zeros(n, np.int8)
+    except RankDeficientError:
+        beta, held = np.zeros(data.p), None
+        resid = y - design @ beta
+    if held is not None and data._ols_resid_max <= tau:
+        obj, grad_norm = data._ols_no_clip
+        if grad_norm <= grad_tol:
+            return FitResult(beta=beta, iterations=1, objective=obj,
+                             grad_norm=grad_norm, stop_reason="converged",
+                             trajectory=(obj, obj))
+    obj, psi = _loss_score(resid, tau)
 
     def weighted_gram(w):
         return (design * w[:, None]).T @ design / n
@@ -98,7 +110,6 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
         loss, psi = _loss_score(r, tau)
         return r, psi, loss
 
-    resid, psi, obj = evaluate(beta)
     traj, stop_reason = [obj], "max_iter"
 
     for _ in range(cfg.max_iter):

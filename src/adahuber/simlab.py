@@ -237,9 +237,8 @@ def _pilot_residuals(data: Dataset, high_dim: bool):
     constants (OLS is unavailable once the coefficient count approaches n).
     """
     if not high_dim and data.n > 2 * data.p:
-        beta = data.ols_beta
-    else:
-        beta = fit_l1_huber(data, plug_in(data, True)(), _PILOT_CFG).beta
+        return data._ols_resid
+    beta = fit_l1_huber(data, plug_in(data, True)(), _PILOT_CFG).beta
     return data.y - data.design @ beta
 
 

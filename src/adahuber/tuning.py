@@ -17,8 +17,9 @@ from .core import (
     DegenerateSampleError,
     HuberParams,
     RankDeficientError,
-    mae,
-    predict,
+    _mae,
+    _mean,
+    _predict,
 )
 from .irls import fit_huber
 from .lamm import fit_l1_huber
@@ -141,6 +142,9 @@ def cross_validate(
     blocks = np.array_split(order, grid.folds)
     trains = [data.subset(np.concatenate(blocks[:k] + blocks[k + 1:]))
               for k in range(grid.folds)]
+    # each held-out block is gathered once and scored by core's unvalidated
+    # kernels behind predict and mae
+    held_out = [(data.x[block], data.y[block]) for block in blocks]
 
     def fit(sample, params):
         if high_dim:
@@ -148,11 +152,9 @@ def cross_validate(
         return fit_huber(sample, params.tau)
 
     def held_out_mae(params):
-        maes = []
-        for train, block in zip(trains, blocks):
-            pred = predict(fit(train, params).beta, data.x[block], data.intercept)
-            maes.append(mae(data.y[block], pred))
-        return float(np.mean(maes))
+        return _mean(np.array([
+            _mae(y_k, _predict(fit(train, params).beta, x_k, data.intercept))
+            for train, (x_k, y_k) in zip(trains, held_out)]))
 
     cells = list(product(grid.constants, repeat=2 if high_dim else 1))
     scores = {}
@@ -197,13 +199,12 @@ def lepski_select(data: Dataset, K: float = 3.0, a: float = 1.5):
     Returns (selected FitResult, selected index, diagnostics dict); the
     diagnostics carry every grid point's coefficients under ``betas``.
     """
-    design, y, n = data.design, data.y, data.n
-    p = data.p
+    design, n, p = data.design, data.n, data.p
     if n <= p:
         raise RankDeficientError(
             f"need more rows ({n}) than coefficients ({p})"
         )
-    resid = y - design @ data.ols_beta  # rejects a singular gram before eigh's roots
+    resid = data._ols_resid  # rejects a singular gram before eigh's roots
     evals, vecs = np.linalg.eigh(data.gram)
     inv_root = (vecs / np.sqrt(evals)) @ vecs.T
     l_tilde = float(np.max(np.abs(design @ inv_root)))
@@ -212,6 +213,8 @@ def lepski_select(data: Dataset, K: float = 3.0, a: float = 1.5):
     rss = float(np.sum(resid ** 2))
     sigma_hat = math.sqrt(rss / (n - p))
 
+    if not K > 0:  # NaN fails too; checked before sigma_hat / K divides
+        raise ValueError(f"K must be positive, got {K!r}")
     sigma_min, sigma_max = sigma_hat / K, K * sigma_hat
     if not 0 < sigma_min <= sigma_max:
         raise ValueError("need 0 < sigma_min <= sigma_max")

@@ -255,6 +255,38 @@ def test_usage_error_exit_one():
     assert exc.value.code == 1
 
 
+def test_the_cached_parser_keeps_no_state(wide_csv, tmp_path, capsys):
+    """main parses with one parser per process: each command gives the same
+    exit code and bytes after the others as when it runs first."""
+    sim = tmp_path / "sim.csv"
+    commands = [
+        ["fit", "--no-such-flag"],
+        ["tune", "--input", str(wide_csv), "--response", "y", "--grid", "1,2"],
+        ["tune", "--input", str(wide_csv), "--response", "y"],
+        ["simulate", "--experiment", "table1", "--reps", "2", "--n", "40",
+         "--d", "2", "--out", str(sim)],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        files = [path.read_bytes() for path in (sim, Path(f"{sim}.meta.json"))
+                 if argv[0] == "simulate"]
+        return code, out, err, files
+
+    first = []
+    for argv in commands:
+        build_parser.cache_clear()
+        first.append(run(argv))
+    assert [code for code, *_ in first] == [1, 0, 0, 0]
+    build_parser.cache_clear()
+    assert [run(argv) for argv in commands] == first
+    assert build_parser() is build_parser()
+
+
 # ----------------------------------------------------------------------- tune
 
 def test_tune_default_grid_has_three_cells(toy_csv, tmp_path):
@@ -328,6 +360,16 @@ def test_tune_lepski_reports_grid(tmp_path):
     records = [json.loads(l) for l in out.read_text().splitlines()]
     assert sum(r["selected"] for r in records) == 1
     assert all("threshold" in r and "tau" in r for r in records)
+
+
+def test_tune_lepski_rejects_a_zero_K_in_one_line(wide_csv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "adahuber.cli", "tune", "--input", str(wide_csv),
+         "--response", "y", "--method", "lepski", "--lepski-K", "0"],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "adahuber: error: K must be positive, got 0.0\n"
 
 
 def test_jsonl_writes_nonfinite_reals_as_null(wide_csv, tmp_path):

@@ -258,6 +258,17 @@ def exact_check_fit_huber(data, tau, cfg=IRLS_DEFAULTS, newton=True):
     return beta, iterations, converged, traj[-1], grad_norm, tuple(traj)
 
 
+def assert_fit_is(fit, want):
+    """Every field of a fit_huber result equals the oracle's, bit for bit."""
+    beta, iterations, converged, obj, grad_norm, traj = want
+    assert fit.beta.tobytes() == beta.tobytes()
+    assert fit.iterations == iterations
+    assert fit.stop_reason == ("converged" if converged else "max_iter")
+    assert (np.array([fit.objective, fit.grad_norm, *fit.trajectory]).tobytes()
+            == np.array([obj, grad_norm, *traj]).tobytes())
+    assert (fit.max_inner, fit.matvecs, fit.inner_total) == (None, None, None)
+
+
 @st.composite
 def irls_cases(draw):
     d = draw(st.integers(1, 4))
@@ -320,11 +331,7 @@ def test_sweep_matches_the_exact_check_oracle(monkeypatch):
             assert str(exc) == want
             sweeps["exact"] += len(solves)
             return
-        beta, iterations, converged, obj, grad_norm, traj = want
-        assert fit.beta.tobytes() == beta.tobytes()
-        assert (fit.iterations, fit.converged) == (iterations, converged)
-        assert (np.array([fit.objective, fit.grad_norm, *fit.trajectory]).tobytes()
-                == np.array([obj, grad_norm, *traj]).tobytes())
+        assert_fit_is(fit, want)
         sweeps["exact"] += len(solves)
         sweeps["certified"] += fit.iterations - len(solves)
 
@@ -415,13 +422,8 @@ def test_fit_without_clipped_rows_is_the_irls_sweep_bit_for_bit():
         y = x @ np.array([1.0, -0.2, 5.0]) + rng.standard_t(2.0, 40)
         data = Dataset(x, y, intercept=seed % 2 == 1)
         tau = 2.0 * np.abs(y - data.design @ data.ols_beta).max()
-        fit = fit_huber(data, tau)
-        beta, iterations, converged, obj, grad_norm, traj = exact_check_fit_huber(
-            data, tau, newton=False)
-        assert fit.beta.tobytes() == beta.tobytes()
-        assert (fit.iterations, fit.converged) == (iterations, converged)
-        assert (np.array([fit.objective, fit.grad_norm, *fit.trajectory]).tobytes()
-                == np.array([obj, grad_norm, *traj]).tobytes())
+        assert_fit_is(fit_huber(data, tau),
+                      exact_check_fit_huber(data, tau, newton=False))
 
 
 def test_rank_deficient_ols_skips_newton_and_raises(monkeypatch):
@@ -479,6 +481,58 @@ def test_fit_without_clipped_rows_at_ols_makes_no_solve(monkeypatch):
         assert np.any(data.ols_beta != 0.0)
 
 
+@st.composite
+def no_clip_cases(draw):
+    d = draw(st.integers(1, 6))
+    return dict(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        n=draw(st.integers(d + 2, 120)),
+        d=d,
+        intercept=draw(st.booleans()),
+        # columns near 1e12 leave an OLS gradient above the test's tolerance
+        log_scale=draw(st.floats(-3, 13)),
+        ratio=draw(st.just(1.0) | st.floats(1.0, 4.0)),
+    )
+
+
+def test_tau_clipping_no_ols_residual_returns_the_sweep_answer(monkeypatch):
+    """At tau >= max|r_OLS| the fit answers from the dataset's cache; every
+    field equals the exact-check oracle's bit for bit, where the gradient
+    test passes and where it sends the fit on through the loop.  One ulp
+    below, a row is clipped and the loop runs."""
+    seen = {"converged": 0, "max_iter": 0}
+
+    @settings(max_examples=150, deadline=None)
+    @given(no_clip_cases())
+    @example(dict(seed=1, n=50, d=3, intercept=True, log_scale=0.0, ratio=1.0))
+    @example(dict(seed=0, n=40, d=2, intercept=False, log_scale=12.0,
+                  ratio=1.0))
+    def check(case):
+        rng = np.random.default_rng(case["seed"])
+        n, d, scale = case["n"], case["d"], 10.0 ** case["log_scale"]
+        x = rng.standard_normal((n, d)) * scale
+        y = x @ (rng.standard_normal(d) / scale) + rng.standard_t(2.0, n)
+        data = Dataset(x, y, intercept=case["intercept"])
+        try:
+            reach = data._ols_resid_max
+        except RankDeficientError:
+            return
+        tau = reach * case["ratio"]
+        for cfg in (IRLS_DEFAULTS, SolverConfig(max_iter=1)):
+            fit = fit_huber(data, tau, cfg)
+            assert_fit_is(fit, exact_check_fit_huber(data, tau, cfg))
+            seen[fit.stop_reason] += 1
+        below = np.nextafter(reach, 0.0)
+        solves = recorded_solves(monkeypatch)
+        fit = fit_huber(data, below)
+        monkeypatch.undo()
+        assert solves
+        assert_fit_is(fit, exact_check_fit_huber(data, below))
+
+    check()
+    assert seen["converged"] > 0 and seen["max_iter"] > 0
+
+
 def test_newton_fit_solves_each_system_once(monkeypatch):
     rng = np.random.default_rng(1)
     x = rng.standard_normal((200, 3))
@@ -534,15 +588,28 @@ def test_table1_solves_each_newton_system_once(monkeypatch):
 
 
 def test_table1_sweep_count_stays_pinned(monkeypatch):
-    real, sweeps = tuning.fit_huber, []
+    real, real_loss = tuning.fit_huber, irls._loss_score
+    sweeps, losses, ols_answers = [], [], []
+
+    def counted_loss(r, tau):
+        losses[-1] += 1
+        return real_loss(r, tau)
 
     def counted(data, tau, cfg=None):
+        losses.append(0)
         fit = real(data, tau, cfg)
         sweeps.append(fit.iterations)
+        ols_answers.append(fit.iterations == 1
+                           and fit.beta.tobytes() == data.ols_beta.tobytes())
         return fit
 
     monkeypatch.setattr(tuning, "fit_huber", counted)
+    monkeypatch.setattr(irls, "_loss_score", counted_loss)
     run_table1(reps=3, seed=0, threads=1)
     assert len(sweeps) == 117
     # 161 sweeps; IRLS-only sweeps took 403 for the same fits
     assert sum(sweeps) <= 200
+    # 77 fits clip no OLS residual and return OLS from the dataset's cache,
+    # computing no loss of their own; every other fit runs the sweep loop
+    assert sum(ols_answers) == 77
+    assert [n == 0 for n in losses] == ols_answers

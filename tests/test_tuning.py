@@ -309,6 +309,8 @@ def test_lepski_grid_validation(rng, monkeypatch):
         lepski_select(data, K=0.5)
     with pytest.raises(ValueError, match="sigma_min <= sigma_max"):
         lepski_select(data, K=float("inf"))
+    with pytest.raises(ValueError, match="K must be positive"):
+        lepski_select(data, K=0.0)
     with pytest.raises(ValueError, match="must exceed 1"):
         lepski_select(data, a=1.0)
     with pytest.raises(ValueError, match="sigma_min <= sigma_max"):
