@@ -170,7 +170,8 @@ class Dataset:
     @cached_property
     def _ols_no_clip(self) -> tuple:
         """Mean Huber loss at OLS and the norm of its gradient design'r/n, the
-        same at every tau that clips no OLS residual (the score is r there)."""
+        same at every tau that clips no OLS residual (the score is r there):
+        the objective and gradient norm of fit_ols and of such a fit_huber."""
         loss, psi = _loss_score(self._ols_resid, self._ols_resid_max)
         return loss, _norm(self.design.T @ psi / self.n)
 
@@ -239,7 +240,8 @@ class FitResult:
                 steps, each with one or more majorization trials)
     objective   final (penalized, where applicable) objective value
     grad_norm   l2 norm of the smooth-loss gradient at ``beta``
-    stop_reason "converged", "max_iter" or "no_descent" (LAMM at the float floor)
+    stop_reason "converged", "max_iter" or "no_descent" (an IRLS sweep or LAMM
+                step that moves nothing while the stop test fails)
     trajectory  objective value per iteration, when recorded
     max_inner   largest inner-majorization retry count (LAMM only)
     matvecs, inner_total   design products and surrogate trials (LAMM only)

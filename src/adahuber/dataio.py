@@ -244,7 +244,10 @@ def save_csv(data: Dataset, path: str) -> None:
 
 def write_records(records, columns, out, fmt: str = "csv") -> None:
     """Write homogeneous dict records as CSV (fixed column order) or as
-    JSON lines, where a non-finite real is written as null."""
+    JSON lines, where a non-finite real is written as null.  An unknown
+    ``fmt`` is rejected before a path is opened, so no file is truncated."""
+    if fmt not in ("csv", "jsonl"):
+        raise ValueError(f"unknown output format {fmt!r}")
     close = False
     if isinstance(out, (str, os.PathLike)):
         out = open(out, "w", newline="", encoding="utf-8")
@@ -255,13 +258,11 @@ def write_records(records, columns, out, fmt: str = "csv") -> None:
             writer.writerow(columns)
             for rec in records:
                 writer.writerow([_fmt(rec.get(c, "")) for c in columns])
-        elif fmt == "jsonl":
+        else:
             for rec in records:
                 out.write(json.dumps({c: _json_value(rec.get(c)) for c in columns},
                                      sort_keys=True, allow_nan=False))
                 out.write("\n")
-        else:
-            raise ValueError(f"unknown output format {fmt!r}")
     finally:
         if close:
             out.close()

@@ -15,7 +15,6 @@ from .core import (
     _check_rank,
     _check_tau,
     _loss_score,
-    _mean,
     _norm,
     _weight,
 )
@@ -32,16 +31,11 @@ def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def fit_ols(data: Dataset) -> FitResult:
-    """Ordinary least squares via the normal equations (``data.ols_beta``)."""
-    beta, resid = data.ols_beta.copy(), data._ols_resid
-    grad = -(data.design.T @ resid) / data.n
-    return FitResult(
-        beta=beta,
-        iterations=1,
-        objective=0.5 * _mean(resid**2),
-        grad_norm=_norm(grad),
-        stop_reason="converged",
-    )
+    """Ordinary least squares via the normal equations (``data.ols_beta``),
+    with the loss and gradient norm of fit_huber's cached no-clip answer."""
+    obj, grad_norm = data._ols_no_clip
+    return FitResult(beta=data.ols_beta.copy(), iterations=1, objective=obj,
+                     grad_norm=grad_norm, stop_reason="converged")
 
 
 def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
@@ -74,13 +68,15 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
     clipped row.
 
     Warm-started at the cached OLS solution ``data.ols_beta`` and its cached
-    residual (zero vector if OLS is rank-deficient).  Stops once the
+    residual (zero vector if OLS is rank-deficient).  Converges once the
     coefficient change drops below ``cfg.tol`` and the gradient is small.
-    A tau that clips no OLS residual (tau >= its largest |r|) keys the first
-    sweep to the system OLS solves, so that sweep keeps OLS with a zero step.
-    Where the gradient test passes there, the fit returns that answer from
-    the dataset's cache, without running the loop: a copy of ``ols_beta``,
-    one iteration, and the no-clip loss twice in the trajectory.
+    A sweep is a deterministic map of the coefficients, so one with a zero
+    step is a fixed point that every later sweep repeats: where the gradient
+    test fails there, the fit stops with "no_descent".  A tau that clips no
+    OLS residual (tau >= its largest |r|) keys the first sweep to the system
+    OLS solves, so the fit returns that zero-step sweep from the dataset's
+    cache without running the loop: a copy of ``ols_beta``, one iteration,
+    the no-clip loss twice in the trajectory, and the gradient test's stop.
     """
     tau = _check_tau(tau)
     cfg = cfg or IRLS_DEFAULTS
@@ -95,10 +91,10 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
         resid = y - design @ beta
     if held is not None and data._ols_resid_max <= tau:
         obj, grad_norm = data._ols_no_clip
-        if grad_norm <= grad_tol:
-            return FitResult(beta=beta, iterations=1, objective=obj,
-                             grad_norm=grad_norm, stop_reason="converged",
-                             trajectory=(obj, obj))
+        return FitResult(beta=beta, iterations=1, objective=obj,
+                         grad_norm=grad_norm, trajectory=(obj, obj),
+                         stop_reason=("converged" if grad_norm <= grad_tol
+                                      else "no_descent"))
     obj, psi = _loss_score(resid, tau)
 
     def weighted_gram(w):
@@ -145,8 +141,8 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
         if step <= cfg.tol:
             # the gradient is -design.T @ psi / n; its sign does not change the norm
             grad_norm = _norm(design.T @ psi / n)
-            if grad_norm <= grad_tol:
-                stop_reason = "converged"
+            if grad_norm <= grad_tol or not step:
+                stop_reason = "converged" if grad_norm <= grad_tol else "no_descent"
                 break
     else:
         grad_norm = _norm(design.T @ psi / n)

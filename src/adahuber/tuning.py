@@ -183,12 +183,19 @@ def choose_lepski_index(distances: np.ndarray, thresholds) -> int:
                 if np.all(row[j + 1:] <= thresholds[j]))
 
 
+# Most points a Lepski grid may have, each one Huber fit.  The defaults make 7
+# and K = 100 makes 24, while a ratio a = 1 + 1e-7 would make 2.2e7 (at
+# 1 + 1e-12, about 2.2e12: a list that outgrows memory before any fit).
+_LEPSKI_MAX_GRID = 1000
+
+
 def lepski_select(data: Dataset, K: float = 3.0, a: float = 1.5):
     """Adaptive choice of the robustification level over a geometric grid.
 
     The grid is sigma_j = sigma_min * a**j, kept while sigma_j < a * sigma_max,
     with sigma_min = sigma / K and sigma_max = K * sigma around the OLS
-    residual scale sigma; it needs 0 < sigma_min <= sigma_max and a > 1.
+    residual scale sigma; it needs 0 < sigma_min <= sigma_max, a > 1 and
+    at most ``_LEPSKI_MAX_GRID`` (1,000) grid points.
     Fits one unpenalized Huber regression per grid point with
     tau_j = sigma_j * sqrt(n / t), t = log n, then selects the smallest j
     whose rescaled distances to all later fits stay within
@@ -222,6 +229,9 @@ def lepski_select(data: Dataset, K: float = 3.0, a: float = 1.5):
         raise ValueError("grid ratio a must exceed 1")
     sigmas = []
     while (sigma := sigma_min * a**len(sigmas)) < a * sigma_max:
+        if len(sigmas) == _LEPSKI_MAX_GRID:
+            raise ValueError(f"K = {K!r} and a = {a!r} make a grid of more "
+                             f"than {_LEPSKI_MAX_GRID} points")
         sigmas.append(sigma)
     sigmas = np.asarray(sigmas)
     taus = sigmas * math.sqrt(n / t)

@@ -152,6 +152,25 @@ def test_fit_max_iter_gives_exit_two(tmp_path):
     assert code == 2
 
 
+def test_fit_that_keeps_its_coefficients_exits_two_with_no_descent(tmp_path):
+    # columns near 1e12: the gradient test fails at coefficients that no
+    # sweep changes, so the fit stops there rather than at --max-iter
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((40, 2)) * 1e12
+    y = x @ (rng.standard_normal(2) / 1e12) + rng.standard_t(2.0, 40)
+    data = Dataset(x, y)
+    path = tmp_path / "flat.csv"
+    save_csv(data, str(path))
+    for tau, iterations in ((2.0 * data._ols_resid_max, "1"), (0.5, "5")):
+        out = tmp_path / "o.csv"
+        assert main(["fit", "--input", str(path), "--response", "y",
+                     "--tau", repr(tau), "--out", str(out)]) == 2
+        table = dict(line.split(",", 1) for line in
+                     out.read_text().strip().splitlines()[1:])
+        got = (table["stop_reason"], table["converged"], table["iterations"])
+        assert got == ("no_descent", "false", iterations)
+
+
 def test_fit_solver_override_keeps_the_irls_defaults(tmp_path):
     # --max-iter 500 is the IRLS default, so the tolerance must stay 1e-8
     rng = np.random.default_rng(8)
@@ -370,6 +389,20 @@ def test_tune_lepski_rejects_a_zero_K_in_one_line(wide_csv):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "adahuber: error: K must be positive, got 0.0\n"
+
+
+def test_tune_lepski_rejects_a_grid_too_fine_before_fitting(wide_csv, capsys,
+                                                           monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit before the grid was checked")
+
+    monkeypatch.setattr(tuning, "fit_huber", no_fit)
+    assert main(["tune", "--input", str(wide_csv), "--response", "y",
+                 "--method", "lepski", "--lepski-a", "1.001"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("adahuber: error: K = 3.0 and a = 1.001 make a grid "
+                   "of more than 1000 points\n")
 
 
 def test_jsonl_writes_nonfinite_reals_as_null(wide_csv, tmp_path):

@@ -206,3 +206,11 @@ def test_oversized_quoted_cell_is_a_format_error(tmp_path, capsys, text, line,
     err = capsys.readouterr().err
     assert err.startswith(f"adahuber: error: {path}: line {line}: field larger")
     assert "Traceback" not in err
+
+
+def test_unknown_output_format_leaves_the_file_unchanged(tmp_path):
+    path = tmp_path / "kept.csv"
+    path.write_bytes(b"a\n1\n")
+    with pytest.raises(ValueError, match="unknown output format 'xml'"):
+        dataio.write_records([{"a": 2}], ["a"], str(path), fmt="xml")
+    assert path.read_bytes() == b"a\n1\n"

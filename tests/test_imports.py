@@ -110,8 +110,9 @@ def test_the_huber_loss_lives_in_core():
     compute no loss of their own.  The nearest arithmetic above every use of
     a score there (a name starting with ``psi``) is a product
     ``design.T @ ...`` (a gradient or a right-hand side), so no
-    ``psi * (r - 0.5 * psi)`` and no ``psi @ r``; and neither module
-    defines a loss function."""
+    ``psi * (r - 0.5 * psi)`` and no ``psi @ r``; no power at all, so no
+    squared-error loss ``r**2``; and neither module defines a loss
+    function."""
     arithmetic = (ast.BinOp, ast.UnaryOp, ast.AugAssign, ast.Compare)
     for name in ("irls.py", "lamm.py"):
         tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
@@ -134,6 +135,9 @@ def test_the_huber_loss_lives_in_core():
                     and ast.unparse(above.left) == "design.T"):
                 outside.append(ast.unparse(above))
         assert not outside, (name, outside)
+        powers = [ast.unparse(node) for node in ast.walk(tree)
+                  if isinstance(getattr(node, "op", None), ast.Pow)]
+        assert not powers, (name, powers)
         defined = {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
         assert not {f for f in defined if "loss" in f}, (name, sorted(defined))
 

@@ -91,7 +91,13 @@ def test_huber_reduces_to_ols_for_huge_tau(rng):
     x = rng.standard_normal((40, 3))
     y = x @ np.array([1.0, 2.0, -1.0]) + rng.standard_normal(40)
     data = Dataset(x, y)
-    assert np.allclose(fit_huber(data, 1e12).beta, fit_ols(data).beta, atol=1e-8)
+    huber, ols = fit_huber(data, 1e12), fit_ols(data)
+    assert np.allclose(huber.beta, ols.beta, atol=1e-8)
+    # OLS is the no-clip answer: the same coefficients, loss and gradient norm
+    assert (np.array([*huber.beta, huber.objective, huber.grad_norm]).tobytes()
+            == np.array([*ols.beta, ols.objective, ols.grad_norm]).tobytes())
+    assert ols.objective == pytest.approx(
+        0.5 * np.mean((y - x @ ols.beta) ** 2), rel=1e-15, abs=0.0)
 
 
 def test_huber_univariate_mean_tau_one():
@@ -214,8 +220,10 @@ def exact_check_fit_huber(data, tau, cfg=IRLS_DEFAULTS, newton=True):
     """Oracle: fit_huber's sweeps, the Newton step under the same Weyl
     certificate (recomputed here) and the IRLS fallback, with solve_spd's
     eigenvalue rank check on every solve, Newton's included; returns the
-    fields of fit_huber's FitResult.  With ``newton=False`` it is the
-    IRLS-only reference: every sweep an IRLS sweep."""
+    fields of fit_huber's FitResult.  A sweep that keeps beta (a zero step)
+    failing the gradient test stops it with "no_descent".  With
+    ``newton=False`` it is the IRLS-only reference: every sweep an IRLS
+    sweep."""
     design, y, n = data.design, data.y, data.n
     gram = design.T @ design / n
     try:
@@ -229,7 +237,7 @@ def exact_check_fit_huber(data, tau, cfg=IRLS_DEFAULTS, newton=True):
     resid = y - design @ beta
     loss, psi = _loss_score(resid, tau)
     traj = [loss]
-    converged = False
+    stop_reason = "max_iter"
     iterations = 0
     for _ in range(cfg.max_iter):
         clipped = np.abs(resid) > tau
@@ -251,19 +259,23 @@ def exact_check_fit_huber(data, tau, cfg=IRLS_DEFAULTS, newton=True):
         resid = y - design @ beta
         loss, psi = _loss_score(resid, tau)
         traj.append(loss)
-        if step <= cfg.tol and np.linalg.norm(design.T @ psi / n) <= grad_tol:
-            converged = True
-            break
+        if step <= cfg.tol:
+            if np.linalg.norm(design.T @ psi / n) <= grad_tol:
+                stop_reason = "converged"
+                break
+            if step == 0.0:
+                stop_reason = "no_descent"
+                break
     grad_norm = float(np.linalg.norm(design.T @ psi / n))
-    return beta, iterations, converged, traj[-1], grad_norm, tuple(traj)
+    return beta, iterations, stop_reason, traj[-1], grad_norm, tuple(traj)
 
 
 def assert_fit_is(fit, want):
     """Every field of a fit_huber result equals the oracle's, bit for bit."""
-    beta, iterations, converged, obj, grad_norm, traj = want
+    beta, iterations, stop_reason, obj, grad_norm, traj = want
     assert fit.beta.tobytes() == beta.tobytes()
     assert fit.iterations == iterations
-    assert fit.stop_reason == ("converged" if converged else "max_iter")
+    assert fit.stop_reason == stop_reason
     assert (np.array([fit.objective, fit.grad_norm, *fit.trajectory]).tobytes()
             == np.array([obj, grad_norm, *traj]).tobytes())
     assert (fit.max_inner, fit.matvecs, fit.inner_total) == (None, None, None)
@@ -303,6 +315,10 @@ WELL_POSED = dict(seed=1, n=50, scales=[0.0, 1.0], collinear=None, outliers=0,
 # near-collinear columns and a huge outlier: the bound fails, the check passes
 EXACT_ONLY = dict(seed=2, n=50, scales=[0.0, 0.0], collinear=-4.0, outliers=1,
                   outlier_size=10.0, intercept=False, log_tau=0.0)
+# zero_step_data at tau = 0.5: the fifth sweep keeps beta, failing the
+# gradient test
+ZERO_STEP = dict(seed=0, n=40, scales=[12.0, 12.0], collinear=None, outliers=0,
+                 outlier_size=2.0, intercept=False, log_tau=np.log10(0.5))
 
 
 def test_sweep_matches_the_exact_check_oracle(monkeypatch):
@@ -318,6 +334,7 @@ def test_sweep_matches_the_exact_check_oracle(monkeypatch):
     @given(irls_cases())
     @example(WELL_POSED)
     @example(EXACT_ONLY)
+    @example(ZERO_STEP)
     def check(case):
         data, tau = irls_case_data(case)
         try:
@@ -409,8 +426,8 @@ def test_newton_sweep_keeps_the_irls_reference_guarantees(case):
         assert fit.converged
         assert fit.grad_norm <= 1e-6 * (1.0 + np.linalg.norm(data.y))
         return
-    _, _, converged, obj, _, _ = want
-    if converged:
+    _, _, stop_reason, obj, _, _ = want
+    if stop_reason == "converged":
         assert fit.converged
         assert fit.objective == pytest.approx(obj, rel=OBJECTIVE_RTOL, abs=0.0)
 
@@ -498,15 +515,17 @@ def no_clip_cases(draw):
 def test_tau_clipping_no_ols_residual_returns_the_sweep_answer(monkeypatch):
     """At tau >= max|r_OLS| the fit answers from the dataset's cache; every
     field equals the exact-check oracle's bit for bit, where the gradient
-    test passes and where it sends the fit on through the loop.  One ulp
-    below, a row is clipped and the loop runs."""
-    seen = {"converged": 0, "max_iter": 0}
+    test passes ("converged") and where it fails at the zero step
+    ("no_descent").  One ulp below, a row is clipped and the loop runs."""
+    seen = {"converged": 0, "no_descent": 0}
 
     @settings(max_examples=150, deadline=None)
     @given(no_clip_cases())
     @example(dict(seed=1, n=50, d=3, intercept=True, log_scale=0.0, ratio=1.0))
     @example(dict(seed=0, n=40, d=2, intercept=False, log_scale=12.0,
                   ratio=1.0))
+    @example(dict(seed=0, n=40, d=2, intercept=False, log_scale=12.0,
+                  ratio=2.0))
     def check(case):
         rng = np.random.default_rng(case["seed"])
         n, d, scale = case["n"], case["d"], 10.0 ** case["log_scale"]
@@ -530,7 +549,31 @@ def test_tau_clipping_no_ols_residual_returns_the_sweep_answer(monkeypatch):
         assert_fit_is(fit, exact_check_fit_huber(data, below))
 
     check()
-    assert seen["converged"] > 0 and seen["max_iter"] > 0
+    assert seen["converged"] > 0 and seen["no_descent"] > 0
+
+
+def zero_step_data():
+    """Both columns near 1e12: the OLS gradient norm, 7.7e-5, fails the
+    1.7e-5 gradient test, and the sweeps reach coefficients they keep."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((40, 2)) * 1e12
+    y = x @ (rng.standard_normal(2) / 1e12) + rng.standard_t(2.0, 40)
+    return Dataset(x, y)
+
+
+def test_a_sweep_that_keeps_beta_ends_the_fit():
+    """A sweep is a deterministic map of beta, so a zero step repeats
+    forever: the fit stops there with "no_descent" instead of running out
+    its 500 sweeps.  Without a clipped row that is the first sweep; at
+    tau = 0.5, the fifth, after four solves."""
+    data = zero_step_data()
+    grad_tol = 1e-6 * (1.0 + np.linalg.norm(data.y))
+    for tau, iterations in ((2.0 * data._ols_resid_max, 1), (0.5, 5)):
+        fit = fit_huber(data, tau)
+        assert (fit.iterations, fit.stop_reason) == (iterations, "no_descent")
+        assert not fit.converged and fit.grad_norm > grad_tol
+        assert fit.trajectory[-1] == fit.trajectory[-2]
+        assert_fit_is(fit, exact_check_fit_huber(data, tau))
 
 
 def test_newton_fit_solves_each_system_once(monkeypatch):
@@ -543,11 +586,12 @@ def test_newton_fit_solves_each_system_once(monkeypatch):
     fit = fit_huber(data, 3.0)
     fit_solves = solves[:]
     solves.clear()
-    beta, iterations, converged, *_ = exact_check_fit_huber(data, 3.0)
+    beta, iterations, stop_reason, *_ = exact_check_fit_huber(data, 3.0)
     # the oracle re-solves every sweep's system, after its own OLS start
     oracle_solves = solves[1:]
     assert fit.beta.tobytes() == beta.tobytes()
-    assert (fit.iterations, fit.converged) == (iterations, converged) == (3, True)
+    assert ((fit.iterations, fit.stop_reason) == (iterations, stop_reason)
+            == (3, "converged"))
     assert len(oracle_solves) == 3
     assert len(fit_solves) == len(set(fit_solves)) == 2
     assert set(fit_solves) == set(oracle_solves)
@@ -564,8 +608,9 @@ def test_large_fit_without_clipped_rows_stays_near_the_oracle():
     # the oracle re-solves the OLS system through a weighted Gram, which
     # may reach BLAS by another routine than the cached Gram: the last bits
     # may differ, but not by more than rounding
-    beta, iterations, converged, *_ = exact_check_fit_huber(data, tau)
-    assert (fit.iterations, fit.converged) == (iterations, converged) == (1, True)
+    beta, iterations, stop_reason, *_ = exact_check_fit_huber(data, tau)
+    assert ((fit.iterations, fit.stop_reason) == (iterations, stop_reason)
+            == (1, "converged"))
     assert np.linalg.norm(fit.beta - beta) <= 1e-13 * np.linalg.norm(beta)
 
 

@@ -294,6 +294,8 @@ def test_lepski_grid_contents(rng):
     assert np.array_equal(sigmas, sigmas[0] * a ** np.arange(len(sigmas)))
     assert sigmas[-1] < a * K * sigma_hat <= sigmas[-1] * a * (1 + 1e-12)
     assert len(sigmas) <= 1 + math.log(5.0, 1.5) + 1
+    # the widest grid documented, K = 100, lies far inside the bound
+    assert len(lepski_select(data, K=100.0)[2]["sigmas"]) == 24
 
 
 def test_lepski_grid_validation(rng, monkeypatch):
@@ -313,6 +315,9 @@ def test_lepski_grid_validation(rng, monkeypatch):
         lepski_select(data, K=0.0)
     with pytest.raises(ValueError, match="must exceed 1"):
         lepski_select(data, a=1.0)
+    # a ratio just above 1: about 2,200 grid points, one fit each
+    with pytest.raises(ValueError, match="more than 1000 points"):
+        lepski_select(data, a=1.001)
     with pytest.raises(ValueError, match="sigma_min <= sigma_max"):
         lepski_select(Dataset(x, np.zeros(60)))
 
