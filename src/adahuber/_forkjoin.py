@@ -1,7 +1,8 @@
 """The package's one fork-join: an ordered map over forked worker processes.
 
-The simulation lab maps its replications through it and ``dataio`` maps the
-shares of a large CSV body; neither imports the other.
+The simulation lab maps its replications through it, and ``dataio`` maps
+the shares of a large CSV body through it both when it parses one and when
+it writes one; neither imports the other.
 """
 
 from __future__ import annotations

@@ -241,7 +241,8 @@ class FitResult:
     objective   final (penalized, where applicable) objective value
     grad_norm   l2 norm of the smooth-loss gradient at ``beta``
     stop_reason "converged", "max_iter" or "no_descent" (an IRLS sweep or LAMM
-                step that moves nothing while the stop test fails)
+                step that moves nothing, or IRLS sweeps that return to the
+                state of two sweeps back, while the stop test fails)
     trajectory  objective value per iteration, when recorded
     max_inner   largest inner-majorization retry count (LAMM only)
     matvecs, inner_total   design products and surrogate trials (LAMM only)

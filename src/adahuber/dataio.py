@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from ._forkjoin import _map_ordered
+from ._forkjoin import _map_ordered, resolve_threads
 from .core import Dataset
 
 
@@ -41,7 +41,7 @@ def _json_value(value):
 
 
 # bytes per read of the pre-parse scan, and so about the size of one share
-# of the body
+# of a body read; a share of a body written holds at most about an eighth
 _CHUNK = 1 << 20
 
 
@@ -234,12 +234,44 @@ def load_csv(path: str, response_column: str, delimiter: str = ",") -> Dataset:
                    column_names=header[:y_idx] + header[y_idx + 1:])
 
 
+# shares of a written body per worker in one round of the fork-join; a
+# round's text is all that is held in memory at once
+_WRITE_ROUND = 8
+
+
 def save_csv(data: Dataset, path: str) -> None:
     """Write a Dataset as comma-separated CSV under the header
-    ``y,x1,...,xd`` (response first, then covariates)."""
-    np.savetxt(path, np.column_stack([data.y, data.x]), fmt="%.17g",
-               delimiter=",", comments="",
-               header=",".join(["y"] + [f"x{j + 1}" for j in range(data.d)]))
+    ``y,x1,...,xd`` (response first, then covariates), each real at 17
+    significant digits (``%.17g``), one row per line ending in ``\n``.
+
+    The body is cut into shares of ``_CHUNK // (192 * columns)`` rows; a
+    cell and its delimiter take at most 25 bytes, so a share holds at most
+    about an eighth of ``_CHUNK`` of text.  Each share is formatted by one
+    ``%`` over its rows' line formats.  The shares are formatted on
+    the ``resolve_threads()`` workers of the fork-join in rounds of
+    ``_WRITE_ROUND`` shares per worker and written in order, so the file is
+    byte-identical at any worker count and a body of one share forks
+    nothing.  The worker count is resolved before ``path`` is opened, so a
+    bad ``ADAHUBER_THREADS`` leaves an existing file unchanged.
+    """
+    threads = resolve_threads()
+    matrix = np.column_stack([data.y, data.x])
+    n, width = matrix.shape
+    rows = max(1, _CHUNK // (192 * width))
+    line = ",".join(["%.17g"] * width) + "\n"
+
+    def share(start):
+        block = matrix[start:start + rows]
+        return (line * len(block)) % tuple(block.ravel().tolist())
+
+    starts = range(0, n, rows)
+    per_round = _WRITE_ROUND * threads
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write(",".join(["y"] + [f"x{j + 1}" for j in range(data.d)]) + "\n")
+        for first in range(0, len(starts), per_round):
+            batch = starts[first:first + per_round]
+            fh.writelines(_map_ordered(lambda i: share(batch[i]), (len(batch),),
+                                       threads))
 
 
 def write_records(records, columns, out, fmt: str = "csv") -> None:

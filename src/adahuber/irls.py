@@ -38,6 +38,15 @@ def fit_ols(data: Dataset) -> FitResult:
                      grad_norm=grad_norm, stop_reason="converged")
 
 
+def _same_state(a: tuple, b: tuple) -> bool:
+    # two (beta, held key) states of fit_huber, where a held key is None or
+    # an int8 array: the same bits, so the same next sweep
+    (beta_a, key_a), (beta_b, key_b) = a, b
+    return (beta_a.tobytes() == beta_b.tobytes()
+            and (key_a is None) == (key_b is None)
+            and (key_a is None or np.array_equal(key_a, key_b)))
+
+
 def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
     """Huber regression by certified semismooth Newton steps, with an
     iteratively reweighted least-squares sweep as the fallback.
@@ -50,8 +59,10 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
     the weighted normal equations with weights ``core._weight(residual, tau)``,
     which majorize the Huber objective.  So the recorded loss trajectory is
     nonincreasing, up to rounding in the loss itself.  A Newton step depends
-    only on the clipped rows and their signs, so no step can recur along a
-    strictly falling loss, and the iteration cannot cycle.
+    only on the clipped rows and their signs, so no kept Newton step recurs
+    while the loss strictly falls; once it stops moving, at the float floor,
+    the sweeps can alternate between two coefficient vectors a few ulps
+    apart.
 
     Both systems have weights in [0, 1], and ``core._certified`` bounds their
     smallest eigenvalue from the Gram spectrum and the row norms.  A Newton
@@ -70,13 +81,16 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
     Warm-started at the cached OLS solution ``data.ols_beta`` and its cached
     residual (zero vector if OLS is rank-deficient).  Converges once the
     coefficient change drops below ``cfg.tol`` and the gradient is small.
-    A sweep is a deterministic map of the coefficients, so one with a zero
-    step is a fixed point that every later sweep repeats: where the gradient
-    test fails there, the fit stops with "no_descent".  A tau that clips no
-    OLS residual (tau >= its largest |r|) keys the first sweep to the system
-    OLS solves, so the fit returns that zero-step sweep from the dataset's
-    cache without running the loop: a copy of ``ols_beta``, one iteration,
-    the no-clip loss twice in the trajectory, and the gradient test's stop.
+    A sweep is a deterministic map of the coefficients and the held key, so
+    one with a zero step is a fixed point that every later sweep repeats, and
+    one that returns the coefficients and key of two sweeps back is a
+    2-cycle that every later sweep repeats: where the gradient test fails
+    there (or the cycle's step exceeds ``cfg.tol``), the fit stops with
+    "no_descent".  A tau that clips no OLS residual (tau >= its largest |r|)
+    keys the first sweep to the system OLS solves, so the fit returns that
+    zero-step sweep from the dataset's cache without running the loop: a
+    copy of ``ols_beta``, one iteration, the no-clip loss twice in the
+    trajectory, and the gradient test's stop.
     """
     tau = _check_tau(tau)
     cfg = cfg or IRLS_DEFAULTS
@@ -107,6 +121,10 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
         return r, psi, loss
 
     traj, stop_reason = [obj], "max_iter"
+    # the (beta, held key) states two sweeps back and one sweep back, and the
+    # last step: a sweep back to beta two sweeps back takes the exact
+    # negation of the last step, so its norm is the same float
+    older, old, last_step = None, (beta, held), None
 
     for _ in range(cfg.max_iter):
         # the sign of each clipped row's score: the key of the Newton system
@@ -138,11 +156,16 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
             beta = beta_new
             resid, psi, obj = point
         traj.append(obj)
-        if step <= cfg.tol:
+        cycled = step == last_step and _same_state(older, (beta, held))
+        older, old, last_step = old, (beta, held), step
+        if step <= cfg.tol or cycled:
             # the gradient is -design.T @ psi / n; its sign does not change the norm
             grad_norm = _norm(design.T @ psi / n)
-            if grad_norm <= grad_tol or not step:
-                stop_reason = "converged" if grad_norm <= grad_tol else "no_descent"
+            if step <= cfg.tol and grad_norm <= grad_tol:
+                stop_reason = "converged"
+                break
+            if not step or cycled:
+                stop_reason = "no_descent"
                 break
     else:
         grad_norm = _norm(design.T @ psi / n)

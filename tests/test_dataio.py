@@ -1,5 +1,6 @@
 """read_table: numpy's C reader for plain bodies, the row parser for the rest."""
 
+import io
 import os
 import warnings
 from unittest import mock
@@ -214,3 +215,77 @@ def test_unknown_output_format_leaves_the_file_unchanged(tmp_path):
     with pytest.raises(ValueError, match="unknown output format 'xml'"):
         dataio.write_records([{"a": 2}], ["a"], str(path), fmt="xml")
     assert path.read_bytes() == b"a\n1\n"
+
+
+# ------------------------------------------------------------------ save_csv
+
+def savetxt_reference(data):
+    """The bytes numpy's row-by-row writer gives for ``save_csv``'s layout."""
+    buf = io.BytesIO()
+    np.savetxt(buf, np.column_stack([data.y, data.x]), fmt="%.17g",
+               delimiter=",", comments="",
+               header=",".join(["y"] + [f"x{j + 1}" for j in range(data.d)]))
+    return buf.getvalue()
+
+
+REALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10**15, 10**15).map(float),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 2.2250738585072014e-308]),
+)
+
+
+@st.composite
+def datasets(draw):
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 14))
+    cells = draw(st.lists(REALS, min_size=n * (d + 1), max_size=n * (d + 1)))
+    table = np.array(cells).reshape(n, d + 1)
+    return Dataset(table[:, 1:], table[:, 0])
+
+
+@example(Dataset(np.array([[-0.0]]), np.array([5e-324])), 1)
+@example(Dataset(np.array([[1.7976931348623157e308, -1.7976931348623157e308, 3.0]]),
+                 np.array([-0.0])), 1)
+@given(datasets(), st.integers(1, 3))
+def test_save_csv_writes_savetxt_bytes_at_any_worker_count(tmp_path_factory, data,
+                                                           rows):
+    """Shares of ``rows`` rows, one per worker and round, so a body of more
+    rows than workers runs several rounds; the bytes are numpy's and reload
+    to the same bits."""
+    path = tmp_path_factory.mktemp("save") / "d.csv"
+    want = savetxt_reference(data)
+    for workers in ("1", "2", "3"):
+        with mock.patch.object(dataio, "_CHUNK", 192 * (data.d + 1) * rows), \
+                mock.patch.object(dataio, "_WRITE_ROUND", 1), \
+                mock.patch.dict(os.environ, {"ADAHUBER_THREADS": workers}):
+            save_csv(data, str(path))
+        assert path.read_bytes() == want, workers
+    back = load_csv(str(path), "y")
+    assert back.x.tobytes() == data.x.tobytes()
+    assert back.y.tobytes() == data.y.tobytes()
+
+
+@pytest.mark.parametrize("chunk,forked", [(1 << 20, []), (192 * 2 * 10, [1, 1, 1])],
+                         ids=["one-share", "many-shares"])
+def test_only_a_written_body_of_several_shares_forks(tmp_path, monkeypatch, forks,
+                                                    chunk, forked):
+    # many shares: ten of ten rows, four to a round of two workers, so three
+    # rounds fork one child each while no other thread runs
+    data = Dataset(np.arange(100.0)[:, None] ** 2, np.arange(100.0))
+    path = tmp_path / "d.csv"
+    monkeypatch.setenv("ADAHUBER_THREADS", "2")
+    with mock.patch.object(dataio, "_CHUNK", chunk), \
+            mock.patch.object(dataio, "_WRITE_ROUND", 2):
+        save_csv(data, str(path))
+    assert forks == forked
+    assert path.read_bytes() == savetxt_reference(data)
+
+
+def test_save_refuses_a_worker_count_below_one_before_opening(tmp_path, monkeypatch):
+    path = tmp_path / "kept.csv"
+    path.write_bytes(b"y,x1\n1,2\n")
+    monkeypatch.setenv("ADAHUBER_THREADS", "0")
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        save_csv(Dataset(np.ones((3, 1)), np.arange(3.0)), str(path))
+    assert path.read_bytes() == b"y,x1\n1,2\n"

@@ -203,3 +203,34 @@ def test_every_public_function_has_a_user_in_the_library():
                  if not isinstance(getattr(adahuber, name), type)}
     assert not functions - loaded - for_users, sorted(functions - loaded - for_users)
     assert for_users <= functions and not for_users & loaded, sorted(for_users & loaded)
+
+
+def test_one_fork_join_and_one_csv_writer():
+    """Only ``_forkjoin`` names ``os.fork``, ``multiprocessing``,
+    ``concurrent.futures`` or ``threading``, so every parallel map is the
+    one fork-join; and ``savetxt`` appears nowhere in the package, so
+    ``dataio.save_csv`` is the one CSV writer of a dataset."""
+    parallel = {"multiprocessing", "concurrent", "threading"}
+    users, writers = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if "savetxt" in text:
+            writers.add(path.name)
+        if path.name == "_forkjoin.py":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and node.attr == "fork":
+                names = [ast.unparse(node)]
+            elif isinstance(node, ast.Name) and node.id in parallel:
+                names = [node.id]
+            else:
+                continue
+            users.update(f"{path.name}: {name}" for name in names
+                         if name.split(".")[0] in parallel
+                         or name.split(".")[-1] == "fork")
+    assert not users, sorted(users)
+    assert not writers, sorted(writers)

@@ -221,15 +221,18 @@ def exact_check_fit_huber(data, tau, cfg=IRLS_DEFAULTS, newton=True):
     certificate (recomputed here) and the IRLS fallback, with solve_spd's
     eigenvalue rank check on every solve, Newton's included; returns the
     fields of fit_huber's FitResult.  A sweep that keeps beta (a zero step)
-    failing the gradient test stops it with "no_descent".  With
-    ``newton=False`` it is the IRLS-only reference: every sweep an IRLS
-    sweep."""
+    failing the gradient test stops it with "no_descent", and so does one
+    that returns the state of two sweeps back: beta and the key of the kept
+    Newton system (None after an IRLS sweep), which the OLS start holds with
+    no clipped row.  With ``newton=False`` it is the IRLS-only reference:
+    every sweep an IRLS sweep."""
     design, y, n = data.design, data.y, data.n
     gram = design.T @ design / n
     try:
         beta = solve_spd(gram, design.T @ y / n)
+        kept = np.zeros(n, np.int8)
     except RankDeficientError:
-        beta = np.zeros(data.p)
+        beta, kept = np.zeros(data.p), None
     evals = np.linalg.eigvalsh(gram)
     room = n * (evals[0] - 2 * _RANK_EPS * evals[-1]) if newton else -np.inf
     row_sq = (design**2).sum(axis=1)
@@ -237,18 +240,20 @@ def exact_check_fit_huber(data, tau, cfg=IRLS_DEFAULTS, newton=True):
     resid = y - design @ beta
     loss, psi = _loss_score(resid, tau)
     traj = [loss]
+    states = [(beta.tobytes(), kept)]
     stop_reason = "max_iter"
     iterations = 0
     for _ in range(cfg.max_iter):
         clipped = np.abs(resid) > tau
-        beta_new = None
-        if clipped.any() and row_sq[clipped].sum() < room:
+        beta_new, kept = None, None
+        if row_sq[clipped].sum() < room:
             c = 1.0 - clipped
             trial = solve_spd((design * c[:, None]).T @ design / n,
                               design.T @ np.where(clipped, psi, y) / n)
             trial_loss = _loss_score(y - design @ trial, tau)[0]
             if trial_loss < traj[-1] or np.array_equal(trial, beta):
                 beta_new = trial
+                kept = (np.sign(resid) * clipped).astype(np.int8)
         if beta_new is None:
             w = _weight(resid, tau)
             beta_new = solve_spd((design * w[:, None]).T @ design / n,
@@ -259,13 +264,17 @@ def exact_check_fit_huber(data, tau, cfg=IRLS_DEFAULTS, newton=True):
         resid = y - design @ beta
         loss, psi = _loss_score(resid, tau)
         traj.append(loss)
-        if step <= cfg.tol:
-            if np.linalg.norm(design.T @ psi / n) <= grad_tol:
-                stop_reason = "converged"
-                break
-            if step == 0.0:
-                stop_reason = "no_descent"
-                break
+        states.append((beta.tobytes(), kept))
+        back = states[-3] if len(states) > 2 else None
+        cycled = back is not None and back[0] == states[-1][0] and (
+            (kept is None) == (back[1] is None)
+            and (kept is None or np.array_equal(kept, back[1])))
+        if step <= cfg.tol and np.linalg.norm(design.T @ psi / n) <= grad_tol:
+            stop_reason = "converged"
+            break
+        if step == 0.0 or cycled:
+            stop_reason = "no_descent"
+            break
     grad_norm = float(np.linalg.norm(design.T @ psi / n))
     return beta, iterations, stop_reason, traj[-1], grad_norm, tuple(traj)
 
@@ -319,6 +328,8 @@ EXACT_ONLY = dict(seed=2, n=50, scales=[0.0, 0.0], collinear=-4.0, outliers=1,
 # gradient test
 ZERO_STEP = dict(seed=0, n=40, scales=[12.0, 12.0], collinear=None, outliers=0,
                  outlier_size=2.0, intercept=False, log_tau=np.log10(0.5))
+# the same data at tau = 0.1: sweep 72 returns the state of sweep 70
+TWO_CYCLE = dict(ZERO_STEP, log_tau=-1.0)
 
 
 def test_sweep_matches_the_exact_check_oracle(monkeypatch):
@@ -335,6 +346,7 @@ def test_sweep_matches_the_exact_check_oracle(monkeypatch):
     @example(WELL_POSED)
     @example(EXACT_ONLY)
     @example(ZERO_STEP)
+    @example(TWO_CYCLE)
     def check(case):
         data, tau = irls_case_data(case)
         try:
@@ -574,6 +586,23 @@ def test_a_sweep_that_keeps_beta_ends_the_fit():
         assert not fit.converged and fit.grad_norm > grad_tol
         assert fit.trajectory[-1] == fit.trajectory[-2]
         assert_fit_is(fit, exact_check_fit_huber(data, tau))
+
+
+def test_a_two_cycle_of_sweeps_ends_the_fit():
+    """At the float floor the sweeps can alternate between two coefficient
+    vectors: at tau = 0.1, sweep 72 returns the coefficients and held key of
+    sweep 70, so every later sweep repeats that pair and the fit stops there
+    with "no_descent" instead of running out its 500 sweeps."""
+    data = zero_step_data()
+    grad_tol = 1e-6 * (1.0 + np.linalg.norm(data.y))
+    fit = fit_huber(data, 0.1)
+    assert (fit.iterations, fit.stop_reason) == (72, "no_descent")
+    assert not fit.converged and fit.grad_norm > grad_tol
+    betas = [fit_huber(data, 0.1, SolverConfig(max_iter=m)).beta.tobytes()
+             for m in (69, 70, 71)]
+    assert len(set(betas)) == 3 and betas[1] == fit.beta.tobytes()
+    assert fit.trajectory[-1] == fit.trajectory[-3]
+    assert_fit_is(fit, exact_check_fit_huber(data, 0.1))
 
 
 def test_newton_fit_solves_each_system_once(monkeypatch):
