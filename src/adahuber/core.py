@@ -56,22 +56,6 @@ def _check_rank(evals: np.ndarray) -> None:
         )
 
 
-def _certified(data: Dataset, w: np.ndarray) -> bool:
-    """Whether X'diag(w)X/n, for weights 0 <= w <= 1, would pass
-    ``_check_rank``, decided without a decomposition.
-
-    With G = ``data.gram``, the matrix lies between min(w) * G and G, and by
-    Weyl's inequality its smallest eigenvalue is at least lambda_min(G) minus
-    sum((1 - w_i) * ||x_i||^2) / n.  Either lower bound must clear twice the
-    threshold at lambda_max(G); the factor 2 absorbs eigvalsh's rounding
-    (about p * eps * lambda_max).  Neither can where G itself is singular.
-    """
-    lo, hi = float(data.gram_evals[0]), float(data.gram_evals[-1])
-    floor = 2 * _RANK_EPS * hi
-    return (float(np.minimum.reduce(w)) * lo > floor
-            or lo - float((1.0 - w) @ data.row_norms_sq) / data.n > floor)
-
-
 def _check_finite(a, name):
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} must contain only finite values")
@@ -85,10 +69,10 @@ class Dataset:
     design; the corresponding coefficient is never penalized and never
     truncated.  ``column_names`` optionally names the d covariates.
 
-    ``design``, ``gram``, ``gram_evals``, ``ols_beta``, ``row_norms_sq``,
-    the read-only OLS residual, its largest magnitude, and the Huber loss and
-    gradient norm at OLS for a tau that clips no row are computed once and
-    cached, so treat ``x`` and ``y`` as read-only after construction.
+    ``design``, ``gram``, ``gram_evals``, ``ols_beta``, the read-only OLS
+    residual, its largest magnitude, and the Huber loss and gradient norm at
+    OLS for a tau that clips no row are computed once and cached, so treat
+    ``x`` and ``y`` as read-only after construction.
     """
 
     x: np.ndarray
@@ -174,11 +158,6 @@ class Dataset:
         the objective and gradient norm of fit_ols and of such a fit_huber."""
         loss, psi = _loss_score(self._ols_resid, self._ols_resid_max)
         return loss, _norm(self.design.T @ psi / self.n)
-
-    @cached_property
-    def row_norms_sq(self) -> np.ndarray:
-        """Squared l2 norm of each row of ``design``."""
-        return np.einsum("ij,ij->i", self.design, self.design)
 
     @cached_property
     def penalty_mask(self) -> np.ndarray:

@@ -1,6 +1,7 @@
-"""Unpenalized Huber regression by certified semismooth Newton steps with
-an iteratively reweighted least-squares fallback, plus an ordinary least
-squares baseline."""
+"""Unpenalized Huber regression by semismooth Newton steps with an
+iteratively reweighted least-squares fallback, plus an ordinary least squares
+baseline.  Every system a fit solves goes through ``solve_spd``'s exact rank
+check."""
 
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ from .core import (
     FitResult,
     RankDeficientError,
     SolverConfig,
-    _certified,
     _check_rank,
     _check_tau,
     _loss_score,
@@ -48,27 +48,25 @@ def _same_state(a: tuple, b: tuple) -> bool:
 
 
 def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
-    """Huber regression by certified semismooth Newton steps, with an
-    iteratively reweighted least-squares sweep as the fallback.
+    """Huber regression by semismooth Newton steps, with an iteratively
+    reweighted least-squares sweep as the fallback.
 
     The Huber objective is quadratic on the rows with |r| <= tau and linear on
     the clipped rest.  A sweep first solves H b = X'(c*y + (1-c)*psi)/n with
     c = 1{|r| <= tau} and H = X'diag(c)X/n: the exact minimizer once the
     clipped set stops changing.  The step is kept only if it strictly lowers
-    the loss or returns the current coefficients; otherwise the sweep solves
-    the weighted normal equations with weights ``core._weight(residual, tau)``,
-    which majorize the Huber objective.  So the recorded loss trajectory is
-    nonincreasing, up to rounding in the loss itself.  A Newton step depends
-    only on the clipped rows and their signs, so no kept Newton step recurs
-    while the loss strictly falls; once it stops moving, at the float floor,
-    the sweeps can alternate between two coefficient vectors a few ulps
-    apart.
+    the loss or returns the current coefficients; otherwise, and where H fails
+    the rank check, the sweep solves the weighted normal equations with
+    weights ``core._weight(residual, tau)``, which majorize the Huber
+    objective.  So the recorded loss trajectory is nonincreasing, up to
+    rounding in the loss itself.  A Newton step depends only on the clipped
+    rows and their signs, so no kept Newton step recurs while the loss
+    strictly falls; once it stops moving, at the float floor, the sweeps can
+    alternate between two coefficient vectors a few ulps apart.
 
-    Both systems have weights in [0, 1], and ``core._certified`` bounds their
-    smallest eigenvalue from the Gram spectrum and the row norms.  A Newton
-    step is taken only where that bound certifies H; an IRLS system it
-    certifies is solved directly, and any other goes through solve_spd's
-    exact rank check.  Neither is certified where OLS is rank-deficient.
+    Both systems go through solve_spd, whose exact rank check on the p-by-p
+    matrix is the one test of whether a system can be solved.  Neither
+    passes it where OLS is rank-deficient.
 
     A sweep makes no solve when its Newton system is one the current
     coefficients already solve; it still appends its loss and counts as an
@@ -134,23 +132,19 @@ def fit_huber(data: Dataset, tau, cfg: SolverConfig | None = None) -> FitResult:
             # the Newton step would re-solve the system beta already solves
             step = 0.0
         else:
-            w, point, held = 1.0 - clipped, None, None  # the Newton weights
-            if _certified(data, w):
-                beta_new = np.linalg.solve(
-                    weighted_gram(w), design.T @ np.where(clipped, psi, y) / n)
+            held = None
+            try:
+                beta_new = solve_spd(weighted_gram(1.0 - clipped),
+                                     design.T @ np.where(clipped, psi, y) / n)
+            except RankDeficientError:
+                pass  # too few unclipped rows: the IRLS sweep below
+            else:
                 point = evaluate(beta_new)
                 if point[2] < obj or np.array_equal(beta_new, beta):
                     held = key
-                else:
-                    point = None
-            if point is None:
+            if held is None:
                 w = _weight(resid, tau)
-                gram = weighted_gram(w)
-                rhs = design.T @ (w * y) / n
-                if _certified(data, w):
-                    beta_new = np.linalg.solve(gram, rhs)
-                else:
-                    beta_new = solve_spd(gram, rhs)
+                beta_new = solve_spd(weighted_gram(w), design.T @ (w * y) / n)
                 point = evaluate(beta_new)
             step = _norm(beta_new - beta)
             beta = beta_new

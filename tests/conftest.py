@@ -5,7 +5,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from adahuber import _forkjoin
+from adahuber import _forkjoin, irls
 from adahuber.core import Dataset
 
 hypothesis.settings.register_profile(
@@ -20,16 +20,40 @@ def rng():
 
 
 @pytest.fixture
-def eigvalsh_calls(monkeypatch):
-    """The matrices passed to np.linalg.eigvalsh while the test runs."""
-    real, calls = np.linalg.eigvalsh, []
+def checked_solves(monkeypatch):
+    """Counts of the systems np.linalg.solve solves while the test runs:
+    ``checked_solves()`` is (the Gram systems of Dataset.ols_beta, the
+    systems of irls.solve_spd).  It first checks that the calls to
+    np.linalg.eigvalsh and np.linalg.solve alternate, each solve taking the
+    matrix whose spectrum was taken just before it: every solve is
+    rank-checked, and no spectrum is taken for anything else."""
+    calls, spd = [], []
 
-    def counted(a):
-        calls.append(a)
-        return real(a)
+    def recorded(name, real):
+        def call(a, *rest):
+            calls.append((name, a.tobytes()))
+            return real(a, *rest)
+        return call
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    return calls
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        recorded("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "solve", recorded("solve", np.linalg.solve))
+    real_spd = irls.solve_spd
+
+    def solve_spd(gram, rhs):
+        spd.append(gram)
+        return real_spd(gram, rhs)
+
+    monkeypatch.setattr(irls, "solve_spd", solve_spd)
+
+    def count():
+        assert [name for name, _ in calls] == (
+            ["eigvalsh", "solve"] * (len(calls) // 2)), [n for n, _ in calls]
+        assert all(calls[i][1] == calls[i + 1][1]
+                   for i in range(0, len(calls), 2))
+        return len(calls) // 2 - len(spd), len(spd)
+
+    return count
 
 
 @pytest.fixture

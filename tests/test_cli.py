@@ -161,7 +161,8 @@ def test_fit_that_keeps_its_coefficients_exits_two_with_no_descent(tmp_path):
     data = Dataset(x, y)
     path = tmp_path / "flat.csv"
     save_csv(data, str(path))
-    for tau, iterations in ((2.0 * data._ols_resid_max, "1"), (0.5, "5")):
+    for tau, iterations in ((2.0 * data._ols_resid_max, "1"), (0.5, "3"),
+                            (0.1, "5")):
         out = tmp_path / "o.csv"
         assert main(["fit", "--input", str(path), "--response", "y",
                      "--tau", repr(tau), "--out", str(out)]) == 2

@@ -85,24 +85,43 @@ def test_lamm_has_one_iteration_loop():
 
 def test_the_rank_rule_lives_in_core():
     """One rank rule: only ``core`` names the singularity threshold
-    ``_RANK_EPS``, and ``irls`` certifies its solves through
-    ``core._certified`` instead of reading the Gram spectrum or the row norms
-    itself."""
-    def names(path):
+    ``_RANK_EPS``, no module keeps a bound on a weighted Gram's spectrum
+    (``_certified``, ``row_norms_sq``), and ``irls`` calls ``eigvalsh`` and
+    ``solve`` only inside ``solve_spd``, so every system it solves passes the
+    exact rank check."""
+    def names(tree):
         out = set()
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 out.add(node.id)
             elif isinstance(node, ast.Attribute):
                 out.add(node.attr)
-            elif isinstance(node, ast.alias):
+            elif isinstance(node, (ast.alias, ast.FunctionDef)):
                 out.add(node.name)
         return out
 
-    threshold = {path.name for path in sorted(SRC.glob("*.py"))
-                 if "_RANK_EPS" in names(path)}
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    threshold = {name for name, tree in trees.items()
+                 if "_RANK_EPS" in names(tree)}
     assert threshold == {"core.py"}, sorted(threshold)
-    assert not names(SRC / "irls.py") & {"gram_evals", "row_norms_sq"}
+    bounds = {f"{name}: {used}" for name, tree in trees.items()
+              for used in names(tree) & {"_certified", "row_norms_sq"}}
+    assert not bounds, sorted(bounds)
+    irls = trees["irls.py"]
+    assert "gram_evals" not in names(irls)
+
+    def linalg_calls(tree):
+        return [ast.unparse(node.func) for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and ast.unparse(node.func).split(".")[-1]
+                in {"solve", "eigvalsh"}]
+
+    solve_spd = next(f for f in irls.body
+                     if isinstance(f, ast.FunctionDef) and f.name == "solve_spd")
+    inside = linalg_calls(solve_spd)
+    assert sorted(inside) == ["np.linalg.eigvalsh", "np.linalg.solve"], inside
+    assert len(linalg_calls(irls)) == len(inside), linalg_calls(irls)
 
 
 def test_the_huber_loss_lives_in_core():

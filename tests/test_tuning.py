@@ -222,14 +222,15 @@ def test_cv_raises_tuning_error_when_every_cell_fails(rng, monkeypatch):
         cross_validate(data, TuningGrid((0.5, 1.0)), seed=2)
 
 
-def test_cv_low_dim_takes_one_spectrum_per_dataset(eigvalsh_calls):
+def test_cv_low_dim_takes_one_spectrum_per_dataset(checked_solves):
     spec = ExperimentSpec(100, 5, default_beta_star(5), TABLE1_NOISES[0], seed=4)
     raw, _ = gen_linear_data(spec, rep=(0, 0))
     data = Dataset(raw.x, raw.y, intercept=True)
     cross_validate(data, TABLE1_GRID, high_dim=False, seed=4)
-    # one per fold Dataset, shared by its start and every c_tau; one for the
-    # full data; no sweep falls back to solve_spd's own check
-    assert len(eigvalsh_calls) == TABLE1_GRID.folds + 1
+    # one Gram per fold Dataset, shared by its start and every c_tau; one for
+    # the full data; under this normal noise no c_tau clips an OLS residual,
+    # so every fit answers from its dataset's cache and solves no system
+    assert checked_solves() == (TABLE1_GRID.folds + 1, 0)
 
 
 def test_cv_cell_with_an_infinite_tau_fails(rng):
