@@ -17,10 +17,10 @@ from .irls import fit_huber, fit_ols
 from .lamm import fit_l1_huber
 from .tuning import (
     TuningGrid,
+    adaptive_tau,
     cross_validate,
     effective_sample_size,
     lepski_select,
-    moment_estimate,
     plug_in,
 )
 
@@ -229,39 +229,26 @@ def run_table1(
 _PILOT_CFG = SolverConfig(tol=1e-3, max_iter=2000)
 
 
-def _pilot_residuals(data: Dataset, high_dim: bool):
+def _pilot_residuals(data: Dataset, rule):
     """Residuals for moment estimation before the main fit.
 
-    OLS residuals when the sample comfortably supports them; otherwise an
-    l1-penalized pilot at the high-dimensional plug-in rule with unit
-    constants (OLS is unavailable once the coefficient count approaches n).
+    OLS residuals when ``rule`` is None and the sample comfortably supports
+    them; otherwise an l1-penalized pilot at ``rule`` (``plug_in(data, True)``
+    when None) with unit constants (OLS is unavailable once the coefficient
+    count approaches n).
     """
-    if not high_dim and data.n > 2 * data.p:
+    if rule is None and data.n > 2 * data.p:
         return data._ols_resid
-    beta = fit_l1_huber(data, plug_in(data, True)(), _PILOT_CFG).beta
+    beta = fit_l1_huber(data, (rule or plug_in(data, True))(), _PILOT_CFG).beta
     return data.y - data.design @ beta
-
-
-def adaptive_tau(residuals, delta: float, n_eff: float, t: float,
-                 c_tau: float) -> float:
-    """Moment-aware robustification rule
-    c_tau * v_hat * (n_eff / t) ** (1 / (1 + min(delta, 1))).
-
-    delta is capped at 1: beyond two finite moments the rate saturates and
-    higher sample moments only add variance.
-    """
-    delta_eff = min(delta, 1.0)
-    v_hat = moment_estimate(residuals, delta_eff)
-    exponent = 1.0 / (1.0 + delta_eff)
-    return c_tau * v_hat * (n_eff / t) ** exponent
 
 
 def _run_cells(cells, reps: int, seed: int, high_dim: bool, c_tau: float,
                c_lambda: float, threads: int | None) -> np.ndarray:
     """Student-t replications over (n, d, df) cells: pilot residuals,
-    ``adaptive_tau`` with delta = df - 1 - 0.05 and t = log n, then the
-    Huber fit (in high dimensions the l1 fit at the plug-in penalty) and its
-    l2 error, NaN on a library error.
+    ``tuning.adaptive_tau`` with delta = df - 1 - 0.05 and t = log n, then
+    the Huber fit (in high dimensions the l1 fit at the plug-in penalty, bound
+    once with the pilot's) and its l2 error, NaN on a library error.
 
     Replication ``rep`` of cell ``i`` draws from stream (seed, i, rep).
     Returns the (cells, reps) array of errors.
@@ -274,12 +261,13 @@ def _run_cells(cells, reps: int, seed: int, high_dim: bool, c_tau: float,
         n_eff = effective_sample_size(n, d, high_dim)
 
         def fit():
-            resid = _pilot_residuals(data, high_dim)
+            rule = plug_in(data, True) if high_dim else None
+            resid = _pilot_residuals(data, rule)
             tau = adaptive_tau(resid, df - 1.0 - 0.05, n_eff, math.log(n), c_tau)
-            if high_dim:
-                lam = plug_in(data, True)(c_lambda=c_lambda).lam
-                return fit_l1_huber(data, HuberParams(tau=tau, lam=lam))
-            return fit_huber(data, tau)
+            if rule is None:
+                return fit_huber(data, tau)
+            lam = rule(c_lambda=c_lambda).lam
+            return fit_l1_huber(data, HuberParams(tau=tau, lam=lam))
 
         return _l2_error(fit, beta)
 
@@ -309,8 +297,8 @@ def run_phase_transition(
 ) -> list:
     """Error decay under Student-t noise of varying tail index.
 
-    For each df the moment order is delta = df - 1 - 0.05; the
-    robustification level follows ``adaptive_tau`` on pilot residuals at
+    For each df the moment order is delta = df - 1 - 0.05; tau is the one
+    rate scaled by a pilot-residual moment (``tuning.adaptive_tau``) at
     ``PHASE_C_TAU``, and a high_dim fit's plug-in penalty uses
     ``PHASE_C_LAMBDA``.  Rows report the per-df mean of -log(l2 error), the
     mean error itself, and its standard deviation.
@@ -342,9 +330,9 @@ def run_neff_experiment(
     """Error versus effective sample size n / log d for the l1 solver.
 
     The high-dimensional phase-transition replication at df = ``NEFF_DF``
-    over a grid of (d, n) cells: the robustification level
-    c_tau * v_hat * (n / log d)^(1 / (1 + delta)) and the penalty from the
-    plug-in rule, at ``NEFF_C_TAU`` and ``NEFF_C_LAMBDA``.  One row per (d, n).
+    over a grid of (d, n) cells: tau from ``tuning.adaptive_tau`` at
+    n_eff = n / log d and the penalty from the plug-in rule, at
+    ``NEFF_C_TAU`` and ``NEFF_C_LAMBDA``.  One row per (d, n).
     """
     cells = [(n, d, NEFF_DF) for d in d_grid for n in n_grid]
     errors = _run_cells(cells, reps, seed, True, NEFF_C_TAU, NEFF_C_LAMBDA,

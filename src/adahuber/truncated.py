@@ -47,7 +47,8 @@ def default_truncation_params(
     lam   = sqrt(s_guess * log(d) / n)
 
     ``s_guess`` stands in for the unknown sparsity; it defaults to
-    ceil(sqrt(d)).
+    ceil(sqrt(d)).  The fourth root is a clamp-level rate, kept apart from
+    the noise-moment rate ``tuning._rate``, and so is lam.
     """
     if d < 2:
         raise ValueError("d must be at least 2 so that log d is positive")

@@ -1,6 +1,6 @@
-"""Data-driven choice of the robustification and penalty levels: plug-in
-rules driven by a crude scale estimate, k-fold cross-validation over constant
-grids, and a Lepski-type adaptive selection over a geometric scale grid."""
+"""Data-driven choice of the robustification and penalty levels at one rate
+(``_rate``): plug-in rules driven by sd(y) or a residual moment, k-fold
+cross-validation over constant grids, and a Lepski selection over scales."""
 
 from __future__ import annotations
 
@@ -69,6 +69,13 @@ def estimate_sigma_crude(y) -> float:
     return math.sqrt(var)
 
 
+def _rate(n_eff: float, t: float, delta: float) -> float:
+    """(n_eff / t)^(1/(1+delta)), the growth of tau given 1 + delta noise
+    moments; ``math.sqrt`` at delta = 1 (``** 0.5`` can be one ulp off)."""
+    x = n_eff / t
+    return math.sqrt(x) if delta == 1 else x ** (1.0 / (1.0 + delta))
+
+
 def default_params(
     sigma_hat: float,
     n_eff: float,
@@ -76,19 +83,19 @@ def default_params(
     c_tau: float = 1.0,
     c_lambda: float = 1.0,
 ) -> HuberParams:
-    """Plug-in rules assuming finite variance:
+    """Plug-in rules assuming finite variance (delta = 1 in ``_rate``):
 
     tau = c_tau * sigma_hat * sqrt(n_eff / t)
     lam = c_lambda * sigma_hat * sqrt(t / n_eff)
 
-    The penalty shrinks with the effective sample size, matching the rate
-    theory; see the README note on the orientation of this formula.
+    The penalty divides by the rate, so it shrinks with the effective sample
+    size, matching the theory; see the README note on its orientation.
     """
     if sigma_hat <= 0 or n_eff <= 0 or t <= 0:
         raise ValueError("sigma_hat, n_eff and t must all be positive")
     if c_tau <= 0 or c_lambda <= 0:
         raise ValueError("c_tau and c_lambda must be positive")
-    root = math.sqrt(n_eff / t)
+    root = _rate(n_eff, t, 1.0)
     return HuberParams(tau=c_tau * sigma_hat * root, lam=c_lambda * sigma_hat / root)
 
 
@@ -110,6 +117,19 @@ def moment_estimate(residuals, delta: float) -> float:
     if r.shape[0] < 2:
         raise DegenerateSampleError("need at least two residuals")
     return float(np.mean(np.abs(r - r.mean()) ** (1.0 + delta)))
+
+
+def adaptive_tau(residuals, delta: float, n_eff: float, t: float,
+                 c_tau: float) -> float:
+    """Moment-aware robustification rule c_tau * v_hat * ``_rate`` at
+    min(delta, 1), with v_hat the ``moment_estimate`` of the residuals.
+
+    delta is capped at 1: beyond two finite moments the rate saturates and
+    higher sample moments only add variance.
+    """
+    delta_eff = min(delta, 1.0)
+    v_hat = moment_estimate(residuals, delta_eff)
+    return c_tau * v_hat * _rate(n_eff, t, delta_eff)
 
 
 def cross_validate(
@@ -194,12 +214,12 @@ def lepski_select(data: Dataset, K: float = 3.0, a: float = 1.5):
 
     The grid is sigma_j = sigma_min * a**j, kept while sigma_j < a * sigma_max,
     with sigma_min = sigma / K and sigma_max = K * sigma around the OLS
-    residual scale sigma; it needs 0 < sigma_min <= sigma_max, a > 1 and
-    at most ``_LEPSKI_MAX_GRID`` (1,000) grid points.
+    residual scale sigma; it needs 0 < sigma_min <= sigma_max, a > 1, finite
+    powers a**j and at most ``_LEPSKI_MAX_GRID`` (1,000) grid points.
     Fits one unpenalized Huber regression per grid point with
-    tau_j = sigma_j * sqrt(n / t), t = log n, then selects the smallest j
-    whose rescaled distances to all later fits stay within
-    8 * L * sigma_j * sqrt(p) * sqrt(t / n), where p is the number of
+    tau_j = sigma_j * sqrt(n / t) (``_rate`` at delta = 1), t = log n, then
+    selects the smallest j whose rescaled distances to all later fits stay
+    within 8 * L * sigma_j * sqrt(p) * sqrt(t / n), where p is the number of
     coefficients (d + 1 with an intercept) and L is the largest sup-norm of
     the whitened covariate rows.
 
@@ -228,13 +248,17 @@ def lepski_select(data: Dataset, K: float = 3.0, a: float = 1.5):
     if not a > 1:
         raise ValueError("grid ratio a must exceed 1")
     sigmas = []
-    while (sigma := sigma_min * a**len(sigmas)) < a * sigma_max:
-        if len(sigmas) == _LEPSKI_MAX_GRID:
-            raise ValueError(f"K = {K!r} and a = {a!r} make a grid of more "
-                             f"than {_LEPSKI_MAX_GRID} points")
-        sigmas.append(sigma)
+    try:
+        while (sigma := sigma_min * a**len(sigmas)) < a * sigma_max:
+            if len(sigmas) == _LEPSKI_MAX_GRID:
+                raise ValueError(f"K = {K!r} and a = {a!r} make a grid of more "
+                                 f"than {_LEPSKI_MAX_GRID} points")
+            sigmas.append(sigma)
+    except OverflowError:
+        raise ValueError(f"K = {K!r} and a = {a!r} make a grid ratio "
+                         f"a**{len(sigmas)} beyond the float range") from None
     sigmas = np.asarray(sigmas)
-    taus = sigmas * math.sqrt(n / t)
+    taus = sigmas * _rate(n, t, 1.0)
     fits = [fit_huber(data, tau) for tau in taus]
 
     # ||G^(1/2) (beta_k - beta_j)|| = ||sqrt(evals) * vecs' (beta_k - beta_j)||

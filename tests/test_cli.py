@@ -406,6 +406,20 @@ def test_tune_lepski_rejects_a_grid_too_fine_before_fitting(wide_csv, capsys,
                    "of more than 1000 points\n")
 
 
+def test_tune_lepski_rejects_an_overflowing_ratio_in_one_line(wide_csv, capsys,
+                                                              monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit before the grid was checked")
+
+    monkeypatch.setattr(tuning, "fit_huber", no_fit)
+    assert main(["tune", "--input", str(wide_csv), "--response", "y",
+                 "--method", "lepski", "--lepski-a", "1e200"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("adahuber: error: K = 3.0 and a = 1e+200 make a grid "
+                   "ratio a**2 beyond the float range\n")
+
+
 def test_jsonl_writes_nonfinite_reals_as_null(wide_csv, tmp_path):
     def refuse(token):
         raise ValueError(f"{token} is not JSON")

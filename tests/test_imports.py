@@ -25,10 +25,13 @@ def test_src_imports_only_stdlib_and_numpy():
 
 
 def test_only_tuning_builds_the_plug_in_rule():
-    """The plug-in rule has one home: every other module calls
-    ``tuning.plug_in`` instead of the pieces it binds."""
-    pieces = {"default_params", "estimate_sigma_crude"}
-    users = set()
+    """The plug-in rule and the rate have one home: every other module calls
+    ``tuning.plug_in`` or ``tuning.adaptive_tau`` instead of the pieces they
+    bind (the scale estimates and ``_rate``), and no other module defines
+    ``adaptive_tau``."""
+    pieces = {"default_params", "estimate_sigma_crude", "moment_estimate",
+              "_rate"}
+    users, homes = set(), set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "tuning.py":
             continue
@@ -37,7 +40,10 @@ def test_only_tuning_builds_the_plug_in_rule():
                     else node.attr if isinstance(node, ast.Attribute) else None)
             if name in pieces:
                 users.add(f"{path.name}: {name}")
+            if isinstance(node, ast.FunctionDef) and node.name == "adaptive_tau":
+                homes.add(path.name)
     assert not users, sorted(users)
+    assert not homes, sorted(homes)
 
 
 def test_simlab_has_one_failure_policy_and_one_index_map():

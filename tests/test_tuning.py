@@ -1,5 +1,6 @@
 import math
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from adahuber.core import HuberParams
 from adahuber.tuning import (
     TuningError,
     TuningGrid,
+    adaptive_tau,
     choose_lepski_index,
     cross_validate,
     default_params,
@@ -96,6 +98,66 @@ def test_moment_estimate_validation():
         moment_estimate([1.0, 2.0], 1.5)
     with pytest.raises(DegenerateSampleError):
         moment_estimate([1.0], 0.5)
+
+
+# ------------------------------------------------------------------- one rate
+
+# Frozen copies of the three rate formulas as they were written before they
+# shared ``tuning._rate``: the plug-in rule, Lepski's tau_j and the lab's
+# moment-aware rule.
+def frozen_default_params(sigma_hat, n_eff, t, c_tau, c_lambda):
+    root = math.sqrt(n_eff / t)
+    return c_tau * sigma_hat * root, c_lambda * sigma_hat / root
+
+
+def frozen_lepski_taus(sigmas, n, t):
+    return sigmas * math.sqrt(n / t)
+
+
+def frozen_adaptive_tau(residuals, delta, n_eff, t, c_tau):
+    delta_eff = min(delta, 1.0)
+    v_hat = moment_estimate(residuals, delta_eff)
+    exponent = 1.0 / (1.0 + delta_eff)
+    return c_tau * v_hat * (n_eff / t) ** exponent
+
+
+def test_one_rate_keeps_the_bits_of_the_three_formulas(rng):
+    """Over a seeded grid of n in 2..100,000, the plug-in rule and Lepski's
+    tau_j are bit-identical to their frozen formulas, and so is the lab's
+    rule wherever delta < 1; at delta = 1 it is the sqrt form, which differs
+    from ``** 0.5`` in the last bit at some n on the grid (n = 1,338)."""
+    ns = np.unique(np.concatenate([
+        [2, 614, 1338, 100_000],
+        np.random.default_rng(33).integers(2, 100_001, 400)]))
+    resid = rng.standard_t(2.5, 50)
+    variance = moment_estimate(resid, 1.0)
+    sigmas = 0.7 * 1.5 ** np.arange(7)
+    pow_differs = 0
+    for n in ns.tolist():
+        t = math.log(n)
+        assert np.array_equal(sigmas * tuning._rate(n, t, 1.0),
+                              frozen_lepski_taus(sigmas, n, t))
+        for d, high_dim, c in product((3, 5, 20, 500), (False, True),
+                                      (0.05, 1.0)):
+            n_eff = effective_sample_size(n, d, high_dim)
+            got = default_params(1.3, n_eff, t, c, c)
+            assert (got.tau, got.lam) == frozen_default_params(1.3, n_eff, t, c, c)
+            for delta in (0.45, 0.95):
+                assert (adaptive_tau(resid, delta, n_eff, t, c)
+                        == frozen_adaptive_tau(resid, delta, n_eff, t, c))
+            assert (adaptive_tau(resid, 1.0, n_eff, t, c)
+                    == c * variance * math.sqrt(n_eff / t))
+            pow_differs += (n_eff / t) ** 0.5 != math.sqrt(n_eff / t)
+    assert pow_differs
+
+
+@pytest.mark.parametrize("n, d", [(614, 3), (1338, 5)])
+def test_lepski_taus_keep_their_bits(n, d):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, d))
+    _, _, diag = lepski_select(Dataset(x, x[:, 0] + rng.standard_t(2.0, n)))
+    want = frozen_lepski_taus(np.asarray(diag["sigmas"]), n, math.log(n))
+    assert np.array_equal(diag["taus"], want)
 
 
 # ------------------------------------------------------------ cross-validation
@@ -319,6 +381,9 @@ def test_lepski_grid_validation(rng, monkeypatch):
     # a ratio just above 1: about 2,200 grid points, one fit each
     with pytest.raises(ValueError, match="more than 1000 points"):
         lepski_select(data, a=1.001)
+    # a**2 overflows a float: named, not an OverflowError
+    with pytest.raises(ValueError, match=r"^K = 3\.0 and a = 1e\+200 make"):
+        lepski_select(data, a=1e200)
     with pytest.raises(ValueError, match="sigma_min <= sigma_max"):
         lepski_select(Dataset(x, np.zeros(60)))
 
