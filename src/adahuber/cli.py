@@ -12,8 +12,6 @@ import functools
 import inspect
 import sys
 
-import numpy as np
-
 from . import __version__
 from .core import (
     LIBRARY_ERRORS,
@@ -98,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fit an unpenalized intercept")
         p.add_argument("--out", default=None,
                        help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+        p.add_argument("--format", choices=dataio._FORMATS, default="csv")
 
     def add_solver(p, penalized):
         p.add_argument("--tau", type=float, default=None)
@@ -157,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "returns; serial where fork is unavailable (also "
                        "ADAHUBER_THREADS)")
     p_sim.add_argument("--out", required=True)
-    p_sim.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    p_sim.add_argument("--format", choices=dataio._FORMATS, default="csv")
 
     p_diag = sub.add_parser("diagnose",
                             help="per-column kurtosis heavy-tail report")
@@ -165,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--response", required=False, default=None)
     p_diag.add_argument("--delimiter", default=",")
     p_diag.add_argument("--out", default=None)
-    p_diag.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    p_diag.add_argument("--format", choices=dataio._FORMATS, default="csv")
     return parser
 
 
@@ -265,27 +263,18 @@ def cmd_tune(args) -> int:
     _refuse(f"--method {args.method}", given, _TUNE_METHODS[args.method])
     if args.method == "cv":
         grid = _override(TuningGrid(), constants=args.grid, folds=args.folds)
-        c_tau, c_lambda, fit, table = cross_validate(
+        _, _, fit, table = cross_validate(
             data, grid, **_given(args, ("high_dim", "seed")))
-        records = [
-            {"cell": i, "c_tau": row["c_tau"], "c_lambda": row["c_lambda"],
-             "mean_mae": row["mean_mae"], "failed": row["failed"],
-             "selected": (row["c_tau"] == c_tau and row["c_lambda"] == c_lambda),
-             "forced": len(table) == 1}
-            for i, row in enumerate(table)
-        ]
+        records = [{"cell": i, **row, "forced": len(table) == 1}
+                   for i, row in enumerate(table)]
     else:
         fit, j_hat, diag = lepski_select(
             data, **{k.removeprefix("lepski_"): v for k, v in given.items()})
-        m = len(diag["sigmas"])
-        records = [
-            {"j": j, "sigma": diag["sigmas"][j], "tau": diag["taus"][j],
-             "threshold": diag["thresholds"][j],
-             "max_distance_to_later": (float(np.max(diag["distances"][j, j + 1:]))
-                                       if j + 1 < m else 0.0),
-             "selected": j == j_hat}
-            for j in range(m)
-        ]
+        records = [{"j": j, "sigma": sigma, "tau": tau, "threshold": thr,
+                    "max_distance_to_later": dist, "selected": j == j_hat}
+                   for j, (sigma, tau, thr, dist) in enumerate(zip(
+                       diag["sigmas"], diag["taus"], diag["thresholds"],
+                       diag["max_distance_to_later"]))]
     out = args.out if args.out else sys.stdout
     dataio.write_records(records, list(records[0]), out, fmt=args.format)
     return EXIT_OK if fit.converged else EXIT_NOT_CONVERGED

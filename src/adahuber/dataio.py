@@ -274,11 +274,14 @@ def save_csv(data: Dataset, path: str) -> None:
                                        threads))
 
 
+_FORMATS = ("csv", "jsonl")  # of write_records, and so of every --format
+
+
 def write_records(records, columns, out, fmt: str = "csv") -> None:
     """Write homogeneous dict records as CSV (fixed column order) or as
     JSON lines, where a non-finite real is written as null.  An unknown
     ``fmt`` is rejected before a path is opened, so no file is truncated."""
-    if fmt not in ("csv", "jsonl"):
+    if fmt not in _FORMATS:
         raise ValueError(f"unknown output format {fmt!r}")
     close = False
     if isinstance(out, (str, os.PathLike)):

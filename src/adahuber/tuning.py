@@ -183,24 +183,26 @@ def cross_validate(
             scores[cell] = held_out_mae(rule(*cell))
         except LIBRARY_ERRORS:
             pass
-    table = [{"c_tau": cell[0], "c_lambda": cell[1] if high_dim else None,
-              "mean_mae": scores.get(cell, math.nan), "failed": cell not in scores}
-             for cell in cells]
     if not scores:
         raise TuningError("every cross-validation cell failed")
     best = min(scores, key=lambda cell: (scores[cell], [-c for c in cell]))
+    table = [{"c_tau": cell[0], "c_lambda": cell[1] if high_dim else None,
+              "mean_mae": scores.get(cell, math.nan), "failed": cell not in scores,
+              "selected": cell == best}
+             for cell in cells]
     return best[0], best[1] if high_dim else None, fit(data, rule(*best)), table
 
 
-def choose_lepski_index(distances: np.ndarray, thresholds) -> int:
-    """Selection rule on precomputed pairwise distances.
+def choose_lepski_index(later, thresholds) -> int:
+    """Selection rule on each grid point's largest distance to a later point
+    (``later``, 0.0 for the last point).
 
-    Returns the smallest index j whose distance to every later grid point
-    stays within that j's threshold.  One always exists: the last index has
-    no later point, so it qualifies vacuously.
+    Returns the smallest index j with later[j] <= thresholds[j], and else the
+    last index, which has no later point to be far from.  A NaN distance or
+    threshold never qualifies.
     """
-    return next(j for j, row in enumerate(distances)
-                if np.all(row[j + 1:] <= thresholds[j]))
+    return next((j for j, (dist, thr) in enumerate(zip(later, thresholds))
+                 if dist <= thr), len(later) - 1)
 
 
 # Most points a Lepski grid may have, each one Huber fit.  The defaults make 7
@@ -214,8 +216,8 @@ def lepski_select(data: Dataset, K: float = 3.0, a: float = 1.5):
 
     The grid is sigma_j = sigma_min * a**j, kept while sigma_j < a * sigma_max,
     with sigma_min = sigma / K and sigma_max = K * sigma around the OLS
-    residual scale sigma; it needs 0 < sigma_min <= sigma_max, a > 1, finite
-    powers a**j and at most ``_LEPSKI_MAX_GRID`` (1,000) grid points.
+    residual scale sigma; it needs 0 < sigma_min <= sigma_max, a finite a > 1,
+    finite powers a**j and at most ``_LEPSKI_MAX_GRID`` (1,000) grid points.
     Fits one unpenalized Huber regression per grid point with
     tau_j = sigma_j * sqrt(n / t) (``_rate`` at delta = 1), t = log n, then
     selects the smallest j whose rescaled distances to all later fits stay
@@ -223,8 +225,10 @@ def lepski_select(data: Dataset, K: float = 3.0, a: float = 1.5):
     coefficients (d + 1 with an intercept) and L is the largest sup-norm of
     the whitened covariate rows.
 
-    Returns (selected FitResult, selected index, diagnostics dict); the
-    diagnostics carry every grid point's coefficients under ``betas``.
+    Returns (selected FitResult, selected index, diagnostics dict).  The
+    diagnostics hold, per grid point, ``sigmas``, ``taus``, ``thresholds``,
+    the ``max_distance_to_later`` the rule compares with them (0.0 at the
+    last point) and the coefficients ``betas``; and ``l_tilde`` (L) and ``t``.
     """
     design, n, p = data.design, data.n, data.p
     if n <= p:
@@ -247,6 +251,8 @@ def lepski_select(data: Dataset, K: float = 3.0, a: float = 1.5):
         raise ValueError("need 0 < sigma_min <= sigma_max")
     if not a > 1:
         raise ValueError("grid ratio a must exceed 1")
+    if a == math.inf:  # a one-point grid, whatever K is
+        raise ValueError("grid ratio a must be finite, got inf")
     sigmas = []
     try:
         while (sigma := sigma_min * a**len(sigmas)) < a * sigma_max:
@@ -264,14 +270,15 @@ def lepski_select(data: Dataset, K: float = 3.0, a: float = 1.5):
     # ||G^(1/2) (beta_k - beta_j)|| = ||sqrt(evals) * vecs' (beta_k - beta_j)||
     whitened = np.array([fit.beta for fit in fits]) @ vecs * np.sqrt(evals)
     distances = np.linalg.norm(whitened[:, None] - whitened[None], axis=-1)
+    later = np.triu(distances, 1).max(axis=1)  # 0.0 at the last point
     thresholds = 8.0 * l_tilde * sigmas * math.sqrt(p) * math.sqrt(t / n)
 
-    j_hat = choose_lepski_index(distances, thresholds)
+    j_hat = choose_lepski_index(later, thresholds)
     diagnostics = {
         "sigmas": tuple(float(s) for s in sigmas),
         "taus": tuple(float(v) for v in taus),
         "thresholds": tuple(float(v) for v in thresholds),
-        "distances": distances,
+        "max_distance_to_later": tuple(float(v) for v in later),
         "betas": tuple(fit.beta for fit in fits),
         "l_tilde": l_tilde,
         "t": float(t),

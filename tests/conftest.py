@@ -5,8 +5,15 @@ import hypothesis
 import numpy as np
 import pytest
 
+import adahuber
 from adahuber import _forkjoin, irls
 from adahuber.core import Dataset
+
+# a child run as `python -m adahuber.cli` imports the package these tests
+# import, installed or not (pytest's `pythonpath` reaches no child process)
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (
+    os.path.dirname(os.path.dirname(adahuber.__file__)),
+    os.environ.get("PYTHONPATH"))))
 
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=100

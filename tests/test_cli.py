@@ -1,4 +1,5 @@
 import argparse
+import csv
 import inspect
 import io
 import json
@@ -418,6 +419,40 @@ def test_tune_lepski_rejects_an_overflowing_ratio_in_one_line(wide_csv, capsys,
     assert out == ""
     assert err == ("adahuber: error: K = 3.0 and a = 1e+200 make a grid "
                    "ratio a**2 beyond the float range\n")
+
+
+def test_tune_lepski_rejects_an_infinite_ratio_in_one_line(wide_csv, tmp_path,
+                                                            capsys, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit before the grid was checked")
+
+    monkeypatch.setattr(tuning, "fit_huber", no_fit)
+    out = tmp_path / "lep.csv"
+    assert main(["tune", "--input", str(wide_csv), "--response", "y",
+                 "--method", "lepski", "--lepski-a", "inf",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "adahuber: error: grid ratio a must be finite, got inf\n")
+    assert not out.exists()
+
+
+def test_tune_lepski_selects_the_first_row_within_its_threshold(tmp_path):
+    # an intercept, skewed noise and a wide grid: the rule passes over j = 0
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((200, 3))
+    y = 1.0 + x @ np.array([1.0, -1.0, 0.5]) + rng.lognormal(0.0, 1.0, 200)
+    path = tmp_path / "d.csv"
+    save_csv(Dataset(x, y), str(path))
+    out = tmp_path / "lep.csv"
+    assert main(["tune", "--input", str(path), "--response", "y", "--intercept",
+                 "--method", "lepski", "--lepski-K", "100",
+                 "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    within = [r["j"] for r in rows
+              if float(r["max_distance_to_later"]) <= float(r["threshold"])]
+    assert [r["j"] for r in rows if r["selected"] == "true"] == within[:1]
+    assert int(within[0]) >= 1
+    assert rows[-1]["max_distance_to_later"] == "0"
 
 
 def test_jsonl_writes_nonfinite_reals_as_null(wide_csv, tmp_path):

@@ -186,6 +186,35 @@ def test_the_fit_record_lives_in_core():
     assert "converged" not in fields, fields
 
 
+def test_cli_computes_no_tuning_quantity():
+    """``tune`` writes what ``tuning`` decided: ``cli`` imports no numpy and
+    names neither the Lepski distance matrix nor the Lepski rule."""
+    path = SRC / "cli.py"
+    assert "numpy" not in set(imported_roots(path))
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.add(node.value)  # a key, as in diag["distances"]
+    found = named & {"distances", "choose_lepski_index"}
+    assert not found, sorted(found)
+
+
+def test_one_list_of_output_formats():
+    """``dataio._FORMATS`` is the one list of output formats, which
+    ``write_records`` checks and every ``--format`` offers: no other string
+    constant in the package reads "jsonl"."""
+    found = [path.name for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Constant) and node.value == "jsonl"]
+    assert found == ["dataio.py"], found
+
+
 def test_dataio_imports_neither_the_lab_nor_the_solvers():
     """CSV parsing reaches the fork-join through ``_forkjoin``: ``dataio``
     imports nothing from ``simlab``, ``tuning`` or the solvers."""

@@ -200,6 +200,9 @@ def test_cv_table_shape(rng):
     assert c_lambda is None
     assert all(row["c_lambda"] is None for row in table)
     assert c_tau in grid.constants
+    # the table marks the returned constant, and only it
+    assert [(row["c_tau"], row["c_lambda"]) for row in table
+            if row["selected"]] == [(c_tau, c_lambda)]
 
 
 def test_cv_deterministic_and_order_invariant(rng):
@@ -220,6 +223,8 @@ def test_cv_high_dim_branch(rng):
     # the c_tau x c_lambda product, c_lambda varying fastest
     assert [(row["c_tau"], row["c_lambda"]) for row in table] == [
         (0.5, 0.5), (0.5, 1.0), (1.0, 0.5), (1.0, 1.0)]
+    assert [(row["c_tau"], row["c_lambda"]) for row in table
+            if row["selected"]] == [(c_tau, c_lambda)]
     assert np.linalg.norm(fit.beta - beta) < np.linalg.norm(beta)
 
 
@@ -378,6 +383,9 @@ def test_lepski_grid_validation(rng, monkeypatch):
         lepski_select(data, K=0.0)
     with pytest.raises(ValueError, match="must exceed 1"):
         lepski_select(data, a=1.0)
+    # an infinite ratio would leave a one-point grid
+    with pytest.raises(ValueError, match="grid ratio a must be finite, got inf"):
+        lepski_select(data, a=float("inf"))
     # a ratio just above 1: about 2,200 grid points, one fit each
     with pytest.raises(ValueError, match="more than 1000 points"):
         lepski_select(data, a=1.001)
@@ -411,12 +419,34 @@ def test_lepski_selection_replay_monotone(rng):
         dist = np.abs(rng.standard_normal((m, m)))
         dist = (dist + dist.T) / 2
         np.fill_diagonal(dist, 0.0)
+        later = [row[j + 1:].max(initial=0.0) for j, row in enumerate(dist)]
         sigmas = np.geomspace(0.5, 4.0, m)
         base_thresholds = 0.8 * sigmas
-        j0 = choose_lepski_index(dist, base_thresholds)
+        j0 = choose_lepski_index(later, base_thresholds)
         for c in (1.5, 3.0, 10.0):
-            j_scaled = choose_lepski_index(dist, c * base_thresholds)
+            j_scaled = choose_lepski_index(later, c * base_thresholds)
             assert j_scaled <= j0
+
+
+def test_lepski_max_distance_to_later_is_the_gram_distance(rng):
+    """Each point's reported distance is its largest G-norm distance to a
+    later fit, computed here from the betas and the gram matrix, with no
+    whitening; the last point reports 0.0, and the rule picks the first
+    point within its threshold."""
+    x = rng.standard_normal((200, 3))
+    y = 1.0 + x @ np.array([1.0, -1.0, 0.5]) + rng.lognormal(0.0, 1.0, 200)
+    data = Dataset(x, y, intercept=True)
+    _, j_hat, diag = lepski_select(data, K=100.0)
+    betas = diag["betas"]
+    expected = [max((math.sqrt((b - beta) @ data.gram @ (b - beta))
+                     for b in betas[j + 1:]), default=0.0)
+                for j, beta in enumerate(betas)]
+    later = diag["max_distance_to_later"]
+    assert later == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert later[-1] == 0.0 and max(later) > 0.0
+    assert j_hat >= 1
+    assert j_hat == next(j for j, (dist, thr) in enumerate(
+        zip(later, diag["thresholds"])) if dist <= thr)
 
 
 def test_lepski_requires_overdetermined(rng):
