@@ -6,10 +6,8 @@ reloads to exactly the same float64 values.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -40,8 +38,8 @@ def _json_value(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
-# bytes per read of the pre-parse scan, and so about the size of one share
-# of a body read; a share of a body written holds at most about an eighth
+# about the bytes in one share of a body read (``_cuts``); a share of a body
+# written holds at most about an eighth
 _CHUNK = 1 << 20
 
 
@@ -53,95 +51,78 @@ def _breaks(data: bytes) -> int:
     return breaks
 
 
-def _scan(path: str):
-    """One pass over the raw bytes of ``path``: the number of lines and the
-    share starts of the body.
+def _cuts(path: str) -> list:
+    """The share bounds of a body read: byte 0, the byte just after the first
+    ``\\n`` at or after each multiple of ``_CHUNK`` (so no cut splits a
+    ``\\r\\n`` pair or a UTF-8 character), and the end of the file.  A
+    multiple inside the line the last cut ended is skipped unread."""
+    cuts = [0]
+    with open(path, "rb") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        for start in range(_CHUNK, size, _CHUNK):
+            if cuts[-1] <= start:
+                fh.seek(start)
+                cuts.append(start + len(fh.readline()))
+    return cuts if cuts[-1] == size else cuts + [size]
+
+
+def _loadtxt_share(path: str, delimiter: str, width: int, start: int, end: int):
+    """Bytes ``start`` to ``end`` of ``path``, read once and parsed by numpy's
+    C reader (the header skipped at byte 0), or None unless each of their
+    lines gives one row of ``width`` floats.
 
     A line ends at ``\\n``, ``\\r\\n`` or a lone ``\\r``, as both body parsers
-    split them.  Each read that holds a ``\\n`` gives one share start,
-    ``(offset, lines)``: the byte just after its first ``\\n`` and the number
-    of lines before that byte.  The first byte that is not UTF-8 raises
-    CsvFormatError with its offset in the file.
+    split them.  loadtxt skips blank lines, which the row parser rejects,
+    so a share with one comes out short; bytes that are not UTF-8 raise a
+    ValueError, as does a cell that loadtxt refuses.
     """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    breaks = offset = 0
-    last = b""
-    starts = []
     with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(_CHUNK)
-            pending = len(decoder.getstate()[0])
-            try:
-                decoder.decode(chunk, final=not chunk)
-            except UnicodeDecodeError as exc:
-                raise CsvFormatError(
-                    f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
-                    f"at offset {offset - pending + exc.start} ({exc.reason})"
-                ) from None
-            if not chunk:
-                break
-            if last == b"\r" and chunk.startswith(b"\n"):
-                breaks -= 1  # a \r\n split across two reads
-            first = chunk.find(b"\n") + 1
-            if first:
-                starts.append((offset + first, breaks + _breaks(chunk[:first])))
-            breaks += _breaks(chunk)
-            offset += len(chunk)
-            last = chunk[-1:]
-    return breaks + (last not in (b"", b"\n", b"\r")), starts
-
-
-def _loadtxt_share(path: str, delimiter: str, offset: int, skip: int,
-                   rows: int):
-    """The ``rows`` lines after the first ``skip`` from byte ``offset`` on,
-    parsed by numpy's C reader, or None if it raises ValueError.
-
-    The lines are counted by the same universal-newline reader that loadtxt
-    uses on a path, blank ones included, so a share never reads into the
-    next one.
-    """
+        fh.seek(start)
+        data = fh.read(end - start)
+    skip = int(start == 0)
+    rows = _breaks(data) + (data[-1:] not in (b"\n", b"\r")) - skip
+    if not rows:  # the first share may hold only the header
+        return np.empty((0, width))
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None)
     try:
-        with open(path, "rb") as raw:
-            raw.seek(offset)
-            with io.TextIOWrapper(raw, encoding="utf-8", newline=None) as text, \
-                    warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                        UserWarning)
-                return np.loadtxt(itertools.islice(text, skip, skip + rows),
-                                  delimiter=delimiter, comments=None, ndmin=2,
-                                  dtype=np.float64)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            part = np.loadtxt(text, delimiter=delimiter, comments=None,
+                              skiprows=skip, ndmin=2, dtype=np.float64)
     except ValueError:
         return None
+    return part if part.shape == (rows, width) else None
 
 
-def _loadtxt_body(path: str, delimiter: str, width: int, lines: int,
-                  starts: list):
-    """The body (every line after the header) parsed by numpy's C reader,
-    or None unless it is a float matrix of ``lines - 1`` rows and ``width``
-    columns.
+def _loadtxt_body(path: str, delimiter: str, width: int):
+    """The body (every line after the header) parsed by numpy's C reader in
+    the shares between ``_cuts``, or None if any share gives None.
 
-    The body is cut at the ``_scan`` share starts, the shares are parsed on
-    the ``resolve_threads()`` workers of the fork-join and joined in order;
-    each float is parsed on its own, so the matrix is the same at any
-    worker count.  loadtxt skips blank lines, which the row parser rejects,
-    and refuses some cells that ``float`` accepts (``1_0``, non-ASCII
-    digits); the shape check and the fallback on ValueError hand both to the
-    row parser.
+    The shares are parsed on the ``resolve_threads()`` workers of the
+    fork-join and joined in order; each float is parsed on its own, so the
+    matrix is the same at any worker count.  loadtxt refuses some cells that
+    ``float`` accepts (``1_0``, non-ASCII digits); the fallback hands them
+    to the row parser.
     """
-    bounds = [(0, 0), *starts, (None, lines)]
-    shares = []  # (offset, lines to skip, rows)
-    for (offset, begin), (_, end) in zip(bounds, bounds[1:]):
-        skip = int(begin == 0)  # the header opens share 0
-        if end - begin > skip:  # share 0 may hold only the header
-            shares.append((offset, skip, end - begin - skip))
-    if not shares:
-        return None
-    parts = _map_ordered(lambda i: _loadtxt_share(path, delimiter, *shares[i]),
-                         (len(shares),), None)
-    if any(part is None or part.shape != (rows, width)
-           for part, (_, _, rows) in zip(parts, shares)):
-        return None
-    return np.concatenate(parts)
+    cuts = _cuts(path)
+    parts = _map_ordered(
+        lambda i: _loadtxt_share(path, delimiter, width, cuts[i], cuts[i + 1]),
+        (len(cuts) - 1,), None)
+    return None if any(part is None for part in parts) else np.concatenate(parts)
+
+
+def _check_utf8(path: str) -> None:
+    # the first byte of ``path`` that is not UTF-8 raises CsvFormatError
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(
+            f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} "
+            f"at offset {exc.start} ({exc.reason})"
+        ) from None
 
 
 def _parse_rows(path: str, reader, header: list) -> np.ndarray:
@@ -169,13 +150,15 @@ def _parse_rows(path: str, reader, header: list) -> np.ndarray:
 def read_table(path: str, delimiter: str = ","):
     """Read a headed UTF-8 CSV of reals into (header, n-by-k float matrix).
 
-    Header names are stripped of surrounding blanks, and a leading byte-order
-    mark is dropped.  A ragged row, a cell that does not parse as a decimal
-    real, or a non-finite cell aborts the read with its row number (the
-    header is row 1) and column name.  Under a header on one line, the body
-    is parsed by numpy's C reader, which refuses any quoted cell, in shares
-    on the fork-join workers; anything it does not accept goes through the
-    row parser, which gives every error message.
+    Header names are stripped of surrounding blanks and must be distinct,
+    and a leading byte-order mark is dropped.  A ragged row, a cell that
+    does not parse as a decimal real, or a non-finite cell aborts the read
+    with its row number (the header is row 1) and column name.  Under a
+    header on one line, the body is read once, in shares parsed by numpy's C
+    reader (which refuses any quoted cell) on the fork-join workers.  What
+    it does not accept goes through the row parser, which gives every error
+    message; only there, or where the header read fails, is the whole file
+    checked for the offset of its first byte that is not UTF-8.
     """
     if len(delimiter) != 1:
         raise CsvFormatError(f"delimiter must be a single character, got {delimiter!r}")
@@ -184,19 +167,26 @@ def read_table(path: str, delimiter: str = ","):
             f"delimiter {delimiter!r} cannot separate fields: it quotes or ends a line")
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such file: {path}")
-    lines, starts = _scan(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = [h.strip() for h in next(reader)]
-            matrix = (_loadtxt_body(path, delimiter, len(header), lines, starts)
+            if len(set(header)) < len(header):
+                name = next(h for i, h in enumerate(header) if h in header[:i])
+                raise CsvFormatError(f"{path}: header repeats column {name!r}")
+            matrix = (_loadtxt_body(path, delimiter, len(header))
                       if reader.line_num == 1 else None)  # share 0 skips one line
             if matrix is None:
+                _check_utf8(path)
                 matrix = _parse_rows(path, reader, header)
+        except UnicodeDecodeError:  # in the header read
+            _check_utf8(path)
+            raise
         except StopIteration:
             raise CsvFormatError(f"{path}: empty file, header row required") from None
         except csv.Error as exc:
             # e.g. a cell longer than csv.field_size_limit()
+            _check_utf8(path)
             raise CsvFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not len(matrix):
         raise CsvFormatError(f"{path}: no data rows")

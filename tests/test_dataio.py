@@ -124,14 +124,15 @@ def test_read_refuses_a_worker_count_below_one(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_blank_line_at_a_share_start_is_an_error(tmp_path, monkeypatch, workers):
-    # the reads of 8 bytes are "y,x\n1,2\n", "3,4\n\n5,6" and "\n7,8\n", so
-    # the third share starts on the blank line; a share bounded by rows that
-    # loadtxt counts would skip it and read one row of the share after it
+    # the first \n at or after byte 8 ends "3,4" and the one at byte 16 is
+    # the blank line's, so the shares are "y,x\n1,2\n3,4\n", "\n5,6\n" and
+    # "7,8\n": the second starts on the blank line, which loadtxt skips and
+    # the row parser rejects
     path = tmp_path / "d.csv"
     path.write_bytes(b"y,x\n1,2\n3,4\n\n5,6\n7,8\n")
     monkeypatch.setenv("ADAHUBER_THREADS", workers)
     with mock.patch.object(dataio, "_CHUNK", 8):
-        assert dataio._scan(str(path)) == (6, [(4, 1), (12, 3), (17, 5)])
+        assert dataio._cuts(str(path)) == [0, 12, 17, 21]
         with pytest.raises(CsvFormatError, match="row 4 has 0 cells, expected 2"):
             read_table(str(path))
 
@@ -161,18 +162,55 @@ def test_byte_order_mark_is_dropped(tmp_path, header, capsys):
     assert capsys.readouterr().out.splitlines()[1].startswith("y,")
 
 
-@pytest.mark.parametrize("header", ["y,xé", '"y","xé"'])
-@pytest.mark.parametrize("chunk", [1 << 20, 4])
-def test_bad_encoding_names_path_and_offset(tmp_path, header, chunk):
+@pytest.mark.parametrize("text,chunk,reason", [
+    *(pytest.param(f"{header}\n1,2\n".encode() + b"3,\xff\n", chunk,
+                   "invalid start byte", id=f"{chunk}-{header}")
+      for header in ("y,xé", '"y","xé"') for chunk in (1 << 20, 4)),
+    pytest.param(b"y,x\xff\n1,2\n", 1 << 20, "invalid start byte", id="in-header"),
+    # the last of 27 shares of 16 bytes
+    pytest.param(b"y,x\n" + b"".join(b"%d,%d\n" % (i, i * i) for i in range(60))
+                 + b"7,\xff\n", 16, "invalid start byte", id="in-last-share"),
+    # past the header read's first block, after the ragged row 3
+    pytest.param(b"y,x\n1,2\n3\n" + b"4,5\n" * 3000 + b"6,\xff\n", 1 << 20,
+                 "invalid start byte", id="after-ragged-row"),
+    pytest.param(b"y,x\n1,2\n3,\xc3", 1 << 20, "unexpected end of data",
+                 id="cut-off-at-end"),
+    # past the header read's first blocks, after a header cell longer than
+    # csv's field_size_limit
+    pytest.param(b'"y' + b"a" * 140_000 + b'",x\n' + b"1,2\n" * 3000 + b"3,\xff\n",
+                 1 << 20, "invalid start byte", id="after-oversized-header"),
+])
+def test_bad_encoding_names_path_and_offset(tmp_path, monkeypatch, text, chunk,
+                                            reason):
     path = tmp_path / "d.csv"
-    body = f"{header}\n1,2\n".encode() + b"3,\xff\n"
-    path.write_bytes(body)
-    offset = body.index(b"\xff")
-    with mock.patch.object(dataio, "_CHUNK", chunk):
+    path.write_bytes(text)
+    offset = text.rindex(b"\xc3" if reason == "unexpected end of data" else b"\xff")
+    for workers in ("1", "2"):
+        monkeypatch.setenv("ADAHUBER_THREADS", workers)
+        with mock.patch.object(dataio, "_CHUNK", chunk):
+            with pytest.raises(CsvFormatError) as info:
+                read_table(str(path))
+        assert str(info.value) == (f"{path}: not UTF-8 text: byte "
+                                   f"0x{text[offset]:02x} at offset {offset} "
+                                   f"({reason})"), workers
+
+
+@pytest.mark.parametrize("header,name", [("y,x,x", "x"), ("y,x,y", "y"),
+                                         ("y, x ,x", "x")])
+def test_repeated_column_name_is_refused(tmp_path, capsys, header, name):
+    path = tmp_path / "d.csv"
+    path.write_text(f"{header}\n1,2,3\n4,5,7\n5,7,4\n")
+    message = f"{path}: header repeats column {name!r}"
+    with mock.patch.object(dataio, "_loadtxt_body", side_effect=AssertionError), \
+            mock.patch.object(dataio, "_parse_rows", side_effect=AssertionError):
         with pytest.raises(CsvFormatError) as info:
             read_table(str(path))
-    assert str(info.value) == (f"{path}: not UTF-8 text: byte 0xff at offset "
-                               f"{offset} (invalid start byte)")
+    assert str(info.value) == message
+    out = tmp_path / "fit.csv"
+    assert main(["fit", "--input", str(path), "--response", "y",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"adahuber: error: {message}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("delimiter", ['"', "\r", "\n"])

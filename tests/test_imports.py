@@ -232,6 +232,15 @@ def test_dataio_imports_neither_the_lab_nor_the_solvers():
         sorted(modules)
 
 
+def test_dataio_reads_a_body_in_one_pass():
+    """Each share of a CSV body reads and counts its own bytes: ``dataio``
+    imports neither ``codecs`` (an incremental decoder over the whole file)
+    nor ``itertools`` (``islice`` bounds on lines counted beforehand), the
+    tools of a serial pre-pass."""
+    roots = set(imported_roots(SRC / "dataio.py"))
+    assert not roots & {"codecs", "itertools"}, sorted(roots)
+
+
 def test_every_public_function_has_a_user_in_the_library():
     """No public helper sits beside the kernel the solvers use: every
     non-class name in ``adahuber.__all__`` is referenced (called, or passed
